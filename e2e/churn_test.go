@@ -8,6 +8,7 @@
 package e2e
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os/exec"
@@ -175,6 +176,63 @@ func TestElasticKillChurnMatchesContinuation(t *testing.T) {
 				t.Fatalf("survivor %d iter %d: churn loss %.12g vs continuation %.12g (|d|=%g > 1e-6)", r, iter, g, w, d)
 			}
 		}
+	}
+}
+
+// TestElasticKillDuringReplan kills a worker and flips a route in one
+// run — the combination that needed two barrier protocols to reject.
+// Three elastic workers start from the replan test's wrong 1 GB/s claim
+// (every tensor mis-planned onto the PS), re-plan every 6 iterations
+// from the measured wire rate, and lose rank 2 to SIGKILL around
+// iteration 8. The survivors must exit 0 with identical digests, agree
+// on the replan events (at least one flip off the PS), and commit
+// exactly one membership view change. No loss-parity bound against a
+// second run: kill timing and measured bandwidth both depend on load, so
+// two such runs are not comparable — the in-process
+// TestElasticKillDuringScheduledReplan carries byte-identity and leases.
+func TestElasticKillDuringReplan(t *testing.T) {
+	bin := buildBinaries(t)
+	raw, err := exec.Command(filepath.Join(bin, "poseidon-cluster"),
+		"-worker", filepath.Join(bin, "poseidon-worker"),
+		"-n", "3", "-iters", "18", "-batch", "4", "-lr", "0.1", "-seed", "42",
+		"-elastic", "-replan-every", "6", "-replan-alpha", "1", "-kill-after", "8:2",
+		"-bw", "1e9", "-frame-overhead", "2e-5",
+		"-autoplan", "-metrics-dump", "-dump-losses", "-print-every", "1", "-timeout", "3m").CombinedOutput()
+	if err != nil {
+		t.Fatalf("kill-during-replan cluster run: %v\n%s", err, raw)
+	}
+	out := string(raw)
+	if !strings.Contains(out, "chaos: SIGKILL worker 2") {
+		t.Fatalf("chaos kill never fired\n%s", out)
+	}
+	sameDigests(t, out, 2)
+
+	views := regexp.MustCompile(`(?m)^\[w(\d+)\] VIEW \d+ (\S+) \d+$`).FindAllStringSubmatch(out, -1)
+	if len(views) != 2 || views[0][1] == views[1][1] || views[0][2] != "0,1" || views[1][2] != "0,1" {
+		t.Fatalf("want exactly one membership view change per survivor, to members 0,1; got %v\n%s", views, out)
+	}
+
+	events := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		m := metricsLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var snap metricsSnapshot
+		if err := json.Unmarshal([]byte(m[2]), &snap); err != nil {
+			t.Fatalf("worker %s METRICS unparseable: %v\n%s", m[1], err, m[2])
+		}
+		offPS := false
+		for _, e := range snap.ReplanEvents {
+			offPS = offPS || e.From == "PS"
+		}
+		if !offPS {
+			t.Fatalf("worker %s logged no flip off the mis-planned PS: %+v\n%s", m[1], snap.ReplanEvents, out)
+		}
+		events[m[1]] = fmt.Sprint(snap.ReplanEvents)
+	}
+	if len(events) != 2 || events["0"] != events["1"] {
+		t.Fatalf("survivors 0 and 1 must log the same replan events; got %v", events)
 	}
 }
 

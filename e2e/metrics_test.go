@@ -36,9 +36,10 @@ type metricsSnapshot struct {
 		SFBParams       int   `json:"sfb_params"`
 		SFBSavingsBytes int64 `json:"sfb_savings_bytes"`
 	} `json:"totals"`
-	// ReplanEvents lists the route flips applied at replan barriers.
+	// ReplanEvents lists the route flips applied at epoch transitions.
 	ReplanEvents []struct {
 		Iter  int    `json:"iter"`
+		Epoch int    `json:"epoch"`
 		Param int    `json:"param"`
 		Name  string `json:"name"`
 		From  string `json:"from"`

@@ -115,8 +115,8 @@ type Syncer interface {
 	Handle(msg transport.Message) error
 	// Close releases the routing-owned state behind the syncer — KV
 	// pairs on the local shard, factor aggregators in the bank — ahead
-	// of a route handoff. The handoff contract: the router's reroute
-	// barrier has drained every in-flight round (no lease, scratch
+	// of a route handoff. The handoff contract: the router's scheduled
+	// epoch transition has drained every in-flight round (no lease, scratch
 	// buffer, or partial aggregation survives), the staged replica keeps
 	// the authoritative parameter value, and the successor syncer
 	// re-seeds whatever server-side state its route needs from it. A

@@ -1,21 +1,72 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
+// scheduledBarrier runs the scheduled (same-membership) epoch transition
+// at iter on one node — ScheduleView's drain, then the ordinary
+// ViewPending → AwaitView path — and returns the number of routes the
+// committed decision flipped on this node.
+func scheduledBarrier(r *Router, iter int) (int, error) {
+	before := r.Routes()
+	if err := r.ScheduleView(iter); err != nil {
+		return 0, err
+	}
+	if !r.ViewPending() {
+		return 0, fmt.Errorf("ScheduleView(%d) left no transition pending", iter)
+	}
+	vc, err := r.AwaitView(iter)
+	if err != nil {
+		return 0, err
+	}
+	if vc.Moved || vc.Left || vc.RestartIter != iter {
+		return 0, fmt.Errorf("scheduled transition at %d committed as %+v", iter, vc)
+	}
+	flips := 0
+	for i, route := range r.Routes() {
+		if route != before[i] {
+			flips++
+		}
+	}
+	return flips, nil
+}
+
+// leaderPlans is a Config.PlanShape for the scheduled-transition tests:
+// the leader's compute goroutine stores the route parameter 1 should
+// take before each barrier; any other node being consulted is a protocol
+// bug (only the leader decides).
+type leaderPlans struct {
+	node int
+	next Route // written and read on node 0's compute goroutine only
+}
+
+func (l *leaderPlans) planShape(workers int) ([]ParamPlan, error) {
+	if l.node != 0 {
+		return nil, fmt.Errorf("node %d consulted for a decision node 0 leads", l.node)
+	}
+	return []ParamPlan{
+		{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
+		{Index: 1, Rows: 2, Cols: 3, Route: l.next},
+	}, nil
+}
+
 // rerouteCluster trains a 3-node cluster through two replan barriers —
 // PS→SFB at iteration 2, back SFB→PS at iteration 4 — and checks the
 // handoff invariants: the synchronized math is unaffected (every
 // replica ends at initial + iters·Σ(node+1) exactly), every node lands
-// on the same final routes, both flips are logged, and not a single
-// payload lease outlives the run (the satellite's leak gauge:
+// on the same final routes, both flips are logged with the epoch that
+// committed them, the same-membership MsgView ships no replica, and not
+// a single payload lease outlives the run (the leak gauge:
 // transport.OutstandingPayloadLeases returns to its baseline). Run
 // under -race in CI, this also pins the receive-loop/barrier-swap
 // synchronization.
@@ -32,10 +83,23 @@ func rerouteCluster(t *testing.T, overlap bool, chunkElems int) {
 	meshes := transport.NewChanCluster(n)
 	routers := make([]*Router, n)
 	mtrs := make([]*metrics.Comm, n)
+	plans := make([]*leaderPlans, n)
+	// A same-membership MsgView is view (8 + 4n) | restart 4 | nroutes 4
+	// + one byte per param | nparams 4 — and nothing else: no replica.
+	const bareView = 8 + 4*n + 4 + 4 + 2 + 4
+	var views, fatViews atomic.Int32
 	for node := 0; node < n; node++ {
 		mtrs[node] = metrics.NewComm()
+		plans[node] = &leaderPlans{node: node}
 		r, err := NewRouter(Config{
-			Mesh: meshes[node],
+			Mesh: transport.NewObservedMesh(meshes[node], func(msg transport.Message, _ int) {
+				if msg.Type == transport.MsgView {
+					views.Add(1)
+					if len(msg.Payload) != bareView {
+						fatViews.Add(1)
+					}
+				}
+			}, nil),
 			Plans: []ParamPlan{
 				{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
 				{Index: 1, Rows: 2, Cols: 3, Route: RoutePS},
@@ -45,6 +109,7 @@ func rerouteCluster(t *testing.T, overlap bool, chunkElems int) {
 			Overlap:    overlap,
 			ChunkElems: chunkElems,
 			Metrics:    mtrs[node],
+			PlanShape:  plans[node].planShape,
 			SFSource: func(node int) func(index int) func() *tensor.SufficientFactor {
 				return func(index int) func() *tensor.SufficientFactor {
 					if index != 1 {
@@ -77,30 +142,15 @@ func rerouteCluster(t *testing.T, overlap bool, chunkElems int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nextBarrier := 2
-			r.ArmReroute(nextBarrier)
 			for iter := 0; iter < iters; iter++ {
 				if to, ok := barriers[iter]; ok {
-					var flips int
-					var err error
-					if node == 0 {
-						plans := append([]ParamPlan(nil), []ParamPlan{
-							{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
-							{Index: 1, Rows: 2, Cols: 3, Route: to},
-						}...)
-						flips, err = r.Reroute(iter, plans)
-					} else {
-						flips, err = r.AwaitReroute(iter)
-					}
+					plans[node].next = to
+					flips, err := scheduledBarrier(r, iter)
 					if err != nil {
 						errs[node] = err
 						return
 					}
 					flipCounts[node] = append(flipCounts[node], flips)
-					nextBarrier += 2
-					if nextBarrier < iters {
-						r.ArmReroute(nextBarrier)
-					}
 				}
 				r.WaitFor(iter)
 				grads := []*tensor.Matrix{tensor.NewMatrix(4, 6), tensor.NewMatrix(2, 3)}
@@ -145,15 +195,29 @@ func rerouteCluster(t *testing.T, overlap bool, chunkElems int) {
 			t.Fatalf("node %d logged %d replan events, want 2: %+v", node, len(snap.ReplanEvents), snap.ReplanEvents)
 		}
 		e0, e1 := snap.ReplanEvents[0], snap.ReplanEvents[1]
-		if e0.Iter != 2 || e0.Param != 1 || e0.From != "PS" || e0.To != "SFB" {
+		if e0.Iter != 2 || e0.Epoch != 1 || e0.Param != 1 || e0.From != "PS" || e0.To != "SFB" {
 			t.Fatalf("node %d first replan event %+v", node, e0)
 		}
-		if e1.Iter != 4 || e1.Param != 1 || e1.From != "SFB" || e1.To != "PS" {
+		if e1.Iter != 4 || e1.Epoch != 2 || e1.Param != 1 || e1.From != "SFB" || e1.To != "PS" {
 			t.Fatalf("node %d second replan event %+v", node, e1)
+		}
+		if len(snap.ViewChanges) != 0 || snap.MembershipEpoch != 0 {
+			t.Fatalf("node %d logged membership changes for same-membership replans: %+v", node, snap.ViewChanges)
+		}
+		if want := (cluster.View{Epoch: 2, Members: []int{0, 1, 2}}); !r.View().Equal(want) {
+			t.Fatalf("node %d view %v after two transitions, want %v", node, r.View(), want)
 		}
 		if r.Err() != nil {
 			t.Fatalf("node %d: %v", node, r.Err())
 		}
+	}
+	// The leader sent one MsgView per peer per barrier, none carrying a
+	// replica: a 3-node replan must not start shipping the whole model.
+	if got := views.Load(); got != 2*(n-1) {
+		t.Fatalf("%d MsgView frames on the wire, want %d", got, 2*(n-1))
+	}
+	if fat := fatViews.Load(); fat != 0 {
+		t.Fatalf("%d same-membership MsgView frames were not the bare %d bytes (replica shipped)", fat, bareView)
 	}
 
 	meshes[0].Close()
@@ -186,8 +250,8 @@ func TestRouterRerouteMidTraining(t *testing.T) {
 	}
 }
 
-// A no-change barrier still releases every worker: Reroute(nil) keeps
-// the routes, reports zero flips, and training continues.
+// A no-change barrier still releases every worker: with no PlanShape
+// the leader keeps the routes, nothing flips, and training continues.
 func TestRouterRerouteNoChange(t *testing.T) {
 	const n = 2
 	shapes := [][2]int{{2, 2}}
@@ -220,16 +284,9 @@ func TestRouterRerouteNoChange(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.ArmReroute(1)
 			for iter := 0; iter < 2; iter++ {
 				if iter == 1 {
-					var flips int
-					var err error
-					if node == 0 {
-						flips, err = r.Reroute(1, nil)
-					} else {
-						flips, err = r.AwaitReroute(1)
-					}
+					flips, err := scheduledBarrier(r, 1)
 					if err != nil {
 						errs[node] = err
 						return
@@ -264,10 +321,10 @@ type errFlips struct{}
 
 func (errFlips) Error() string { return "no-change barrier reported flips" }
 
-// A worker parked at a replan barrier must observe a router failure —
-// the REPLAN frame it is waiting for will never arrive once a peer is
-// gone, and hanging there would wedge the cluster teardown.
-func TestRouterAwaitRerouteUnblocksOnFailure(t *testing.T) {
+// A worker parked at a scheduled transition must observe a router
+// failure — the MsgView it is waiting for will never arrive once a peer
+// is gone, and hanging there would wedge the cluster teardown.
+func TestRouterScheduledViewUnblocksOnFailure(t *testing.T) {
 	const n = 2
 	meshes := transport.NewChanCluster(n)
 	routers := make([]*Router, n)
@@ -290,12 +347,11 @@ func TestRouterAwaitRerouteUnblocksOnFailure(t *testing.T) {
 			r.Stop()
 		}
 	})
-	// Node 1 arms the barrier and waits for a decision that will never
-	// come (node 0 never calls Reroute).
-	routers[1].ArmReroute(0)
+	// Node 1 opens the transition and waits for a decision that will
+	// never come (node 0, the leader, never halts).
 	done := make(chan error, 1)
 	go func() {
-		_, err := routers[1].AwaitReroute(0)
+		_, err := scheduledBarrier(routers[1], 0)
 		done <- err
 	}()
 	// Poison node 1's receive loop with a malformed frame.
@@ -305,30 +361,9 @@ func TestRouterAwaitRerouteUnblocksOnFailure(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("AwaitReroute returned nil after the router failed")
+			t.Fatal("AwaitView returned nil after the router failed")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("AwaitReroute still parked 10s after the router failed")
-	}
-}
-
-// An unarmed barrier is a protocol bug and must surface as an error,
-// not hang.
-func TestRouterAwaitRerouteUnarmed(t *testing.T) {
-	meshes := transport.NewChanCluster(1)
-	defer meshes[0].Close()
-	r, err := NewRouter(Config{
-		Mesh:   meshes[0],
-		Plans:  []ParamPlan{{Index: 0, Rows: 2, Cols: 2, Route: RoutePS}},
-		Params: []*tensor.Matrix{tensor.NewMatrix(2, 2)},
-		Scale:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Stop()
-	if _, err := r.AwaitReroute(0); err == nil {
-		t.Fatal("AwaitReroute on an unarmed barrier must error")
+		t.Fatal("AwaitView still parked 10s after the router failed")
 	}
 }

@@ -287,7 +287,7 @@ func (s *ringSyncer) Handle(msg transport.Message) error {
 	}
 }
 
-// Close has nothing to release: the reroute barrier drained every
+// Close has nothing to release: the epoch transition drained every
 // round, so no chain, parked frame, or partial sum survives, and the
 // staged replica already carries the authoritative value the successor
 // route re-seeds from.

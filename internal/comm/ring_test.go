@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -269,18 +270,21 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 		meshes := transport.NewChanCluster(n)
 		routers := make([]*Router, n)
 		mtrs := make([]*metrics.Comm, n)
+		plans := make([]*leaderPlans, n)
 		for node := 0; node < n; node++ {
 			mtrs[node] = metrics.NewComm()
+			plans[node] = &leaderPlans{node: node}
 			r, err := NewRouter(Config{
 				Mesh: meshes[node],
 				Plans: []ParamPlan{
 					{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
 					{Index: 1, Rows: 2, Cols: 3, Route: RoutePS},
 				},
-				Params:  allParams[node],
-				Scale:   1,
-				Overlap: overlap,
-				Metrics: mtrs[node],
+				Params:    allParams[node],
+				Scale:     1,
+				Overlap:   overlap,
+				Metrics:   mtrs[node],
+				PlanShape: plans[node].planShape,
 				SFSource: func(node int) func(index int) func() *tensor.SufficientFactor {
 					return func(index int) func() *tensor.SufficientFactor {
 						if index != 1 {
@@ -310,26 +314,12 @@ func TestRouterRerouteRingRoundTrip(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				nextBarrier := 2
-				r.ArmReroute(nextBarrier)
 				for iter := 0; iter < iters; iter++ {
 					if to, ok := barriers[iter]; ok {
-						var err error
-						if node == 0 {
-							_, err = r.Reroute(iter, []ParamPlan{
-								{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
-								{Index: 1, Rows: 2, Cols: 3, Route: to},
-							})
-						} else {
-							_, err = r.AwaitReroute(iter)
-						}
-						if err != nil {
-							errs[node] = err
+						plans[node].next = to
+						if flips, err := scheduledBarrier(r, iter); err != nil || flips != 1 {
+							errs[node] = fmt.Errorf("barrier %d: %d flips, err %v", iter, flips, err)
 							return
-						}
-						nextBarrier += 2
-						if nextBarrier < iters {
-							r.ArmReroute(nextBarrier)
 						}
 					}
 					r.WaitFor(iter)

@@ -135,8 +135,8 @@ func (s *psSyncer) Launch(iter int, update *tensor.Matrix) error {
 
 // Close removes the chunks this node's shard owned for the parameter —
 // the successor route re-seeds whatever server state it needs from the
-// staged replica. The reroute barrier drained every round first, so no
-// pending contribution is dropped.
+// staged replica. Close runs only at a same-membership epoch transition,
+// which drained every round first, so no pending contribution is dropped.
 func (s *psSyncer) Close() {
 	for _, spec := range s.chunks {
 		if spec.server == s.r.id {
@@ -278,8 +278,8 @@ func (s *sfbSyncer) Launch(iter int, _ *tensor.Matrix) error {
 	return s.offer(int64(iter), s.r.id, sf, &s.reconLocal)
 }
 
-// Close drops the parameter's aggregator from the bank; the reroute
-// barrier guarantees no partial factor set is in flight.
+// Close drops the parameter's aggregator from the bank; the drained
+// epoch transition guarantees no partial factor set is in flight.
 func (s *sfbSyncer) Close() {
 	s.r.bank.Remove(s.plan.Index)
 }

@@ -425,6 +425,139 @@ func TestRouterViewChangeCrashMidStream(t *testing.T) {
 	}
 }
 
+// A scheduled transition that escalates: all three nodes drain to the
+// barrier at 3 and ranks 0 and 1 broadcast drained halts, but rank 2 is
+// killed before it halts. The crash lowers the survivors' fence to 0 and
+// the transition commits as a membership change — the drained halts
+// already on the wire stay valid, the leader ships its replica because a
+// rank died, and the arithmetic holds exactly across the handoff.
+func TestRouterScheduledViewEscalatesOnCrash(t *testing.T) {
+	const n = 3
+	shapes := [][2]int{{4, 6}, {2, 3}}
+	allParams := identicalParams(31, shapes)
+
+	cl := transport.NewElasticChanCluster(n)
+	routers := make([]*Router, n)
+	mtrs := make([]*metrics.Comm, n)
+	for node := 0; node < n; node++ {
+		mtrs[node] = metrics.NewComm()
+		r, err := NewRouter(Config{
+			Mesh:    cl.Endpoint(node),
+			Elastic: true,
+			Plans: []ParamPlan{
+				{Index: 0, Rows: 4, Cols: 6, Route: RoutePS},
+				{Index: 1, Rows: 2, Cols: 3, Route: RoutePS},
+			},
+			Params:   allParams[node],
+			Scale:    1,
+			Overlap:  true,
+			Metrics:  mtrs[node],
+			ScaleFor: func(int) float32 { return 1 },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers[node] = r
+		r.Start()
+	}
+	t.Cleanup(func() {
+		cl.Close()
+		for _, r := range routers {
+			r.Stop()
+		}
+	})
+
+	var phaseA sync.WaitGroup
+	errs := make([]error, n)
+	for node := 0; node < n; node++ {
+		node, r := node, routers[node]
+		phaseA.Add(1)
+		go func() {
+			defer phaseA.Done()
+			_, _, errs[node] = runElastic(r, 0, 3, shapes, float32(node+1))
+		}()
+	}
+	phaseA.Wait()
+	for node, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d phase A: %v", node, err)
+		}
+	}
+
+	var phaseB sync.WaitGroup
+	vcs := make([]ViewChange, 2)
+	for node := 0; node < 2; node++ {
+		node, r := node, routers[node]
+		phaseB.Add(1)
+		go func() {
+			defer phaseB.Done()
+			if errs[node] = r.ScheduleView(3); errs[node] != nil {
+				return
+			}
+			if vcs[node], errs[node] = r.AwaitView(3); errs[node] != nil {
+				return
+			}
+			_, _, errs[node] = runElastic(r, vcs[node].RestartIter, 6, shapes, float32(node+1))
+		}()
+	}
+	// Rank 2 drains like everyone else, then dies with both peers' drained
+	// halts recorded — under the scheduled fence, clock untouched — and
+	// its own never sent.
+	if err := routers[2].ScheduleView(3); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r := routers[2]
+		r.routeMu.Lock()
+		p := r.pending
+		halts, fence, undrained := len(p.halts), p.fence, p.undrained
+		r.routeMu.Unlock()
+		if halts == 2 {
+			if fence != 3 || undrained || r.clock.Interrupted() {
+				t.Fatalf("drained halts left rank 2 fenced at %d (undrained %v, clock interrupted %v), want a quiet fence at 3",
+					fence, undrained, r.clock.Interrupted())
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank 2 saw %d halts within 10s, want 2", halts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.Kill(2)
+	phaseB.Wait()
+	for node := 0; node < 2; node++ {
+		if errs[node] != nil {
+			t.Fatalf("node %d phase B: %v", node, errs[node])
+		}
+	}
+
+	wantView := cluster.View{Epoch: 1, Members: []int{0, 1}}
+	for node := 0; node < 2; node++ {
+		if vc := vcs[node]; !vc.View.Equal(wantView) || vc.RestartIter != 3 || !vc.Moved || vc.Left {
+			t.Fatalf("node %d view change %+v, want %v restart 3 moved", node, vc, wantView)
+		}
+		ev := mtrs[node].Snapshot().ViewChanges
+		if len(ev) != 1 || len(ev[0].Dead) != 1 || ev[0].Dead[0] != 2 {
+			t.Fatalf("node %d view-change events %+v, want one with Dead [2]", node, ev)
+		}
+	}
+	assertReplicasIdentical(t, map[int]*Router{0: routers[0], 1: routers[1]}, shapes)
+	want := float32(3*(1+2+3) + 3*(1+2))
+	for node := 0; node < 2; node++ {
+		got := mats(shapes)
+		routers[node].Adopt(got)
+		for pi, p := range got {
+			for j, v := range p.Data {
+				if exp := allParams[0][pi].Data[j] + want; absDiff(v, exp) > 1e-4 {
+					t.Fatalf("node %d param %d[%d]: %g, want %g", node, pi, j, v, exp)
+				}
+			}
+		}
+	}
+}
+
 // A voluntary departure: rank 2 calls Leave after round 2, receives
 // Left=true, and the survivors re-form and finish with exact arithmetic.
 func TestRouterViewChangeGracefulLeave(t *testing.T) {
@@ -663,34 +796,71 @@ func TestRouterViewChangeJoin(t *testing.T) {
 	}
 }
 
-// The membership surface must reject fixed-size routers outright — a
-// protocol bug, not a hang.
+// A fixed-size router runs scheduled (same-membership) transitions and
+// nothing else: Leave, lifecycle events and undrained halts — anything
+// that would move the member set under syncers addressing the raw mesh —
+// fail the run instead of hanging it.
 func TestRouterViewAPIFixedSize(t *testing.T) {
+	newRouter := func(mesh transport.Mesh) *Router {
+		r, err := NewRouter(Config{
+			Mesh:   mesh,
+			Plans:  []ParamPlan{{Index: 0, Rows: 2, Cols: 2, Route: RoutePS}},
+			Params: []*tensor.Matrix{tensor.NewMatrix(2, 2)},
+			Scale:  1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start()
+		t.Cleanup(r.Stop)
+		return r
+	}
 	meshes := transport.NewChanCluster(1)
 	defer meshes[0].Close()
-	r, err := NewRouter(Config{
-		Mesh:   meshes[0],
-		Plans:  []ParamPlan{{Index: 0, Rows: 2, Cols: 2, Route: RoutePS}},
-		Params: []*tensor.Matrix{tensor.NewMatrix(2, 2)},
-		Scale:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	r := newRouter(meshes[0])
+	if r.ViewPending() {
+		t.Fatal("fixed-size router reports a pending transition")
 	}
-	r.Start()
-	defer r.Stop()
 	if _, err := r.AwaitView(0); err == nil {
-		t.Fatal("AwaitView on a fixed-size router must error")
+		t.Fatal("AwaitView with nothing pending must error")
 	}
 	if err := r.Leave(); err == nil {
 		t.Fatal("Leave on a fixed-size router must error")
 	}
-	if r.ViewPending() {
-		t.Fatal("fixed-size router reports a pending view change")
+	// Accepted: a scheduled transition. A lone node is its own leader; the
+	// epoch advances, the members do not move.
+	if flips, err := scheduledBarrier(r, 0); err != nil || flips != 0 {
+		t.Fatalf("scheduled transition on a fixed-size router: %d flips, err %v", flips, err)
 	}
-	if got := r.View(); !got.Equal(cluster.Initial(1)) {
-		t.Fatalf("fixed-size router view %v, want %v", got, cluster.Initial(1))
+	if want := (cluster.View{Epoch: 1, Members: []int{0}}); !r.View().Equal(want) {
+		t.Fatalf("fixed-size router view %v after one transition, want %v", r.View(), want)
 	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rejected: an undrained halt and a lifecycle event each poison the
+	// router they reach.
+	halt := appendHaltPayload(nil, haltPayload{epoch: 0})
+	for name, msg := range map[string]transport.Message{
+		"undrained halt":  {Type: transport.MsgViewHalt, Layer: -1, Payload: halt},
+		"lifecycle event": {Type: transport.MsgPeerGone, Layer: -1},
+	} {
+		pair := transport.NewChanCluster(2)
+		defer pair[0].Close()
+		victim := newRouter(pair[1])
+		if err := pair[0].Send(1, msg); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for victim.Err() == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("fixed-size router accepted an %s", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
 	if _, err := NewRouter(Config{
 		Mesh:    meshes[0],
 		Joining: true,

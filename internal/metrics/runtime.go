@@ -314,11 +314,14 @@ type Comm struct {
 	viewChanges []ViewChangeEvent
 }
 
-// ReplanEvent records one route flip applied at a replan barrier: from
-// iteration Iter on, parameter Param synchronizes over To instead of
-// From.
+// ReplanEvent records one route flip applied at an epoch transition:
+// from iteration Iter on, parameter Param synchronizes over To instead
+// of From. Epoch is the view epoch the transition committed — the key
+// that joins a flip decided at a membership change to its
+// ViewChangeEvent.
 type ReplanEvent struct {
 	Iter  int    `json:"iter"`
+	Epoch int    `json:"epoch"`
 	Param int    `json:"param"`
 	Name  string `json:"name,omitempty"`
 	From  string `json:"from"`

@@ -405,8 +405,42 @@ func (p *Planner) ReplanShape(c ClusterShape) ([]comm.ParamPlan, error) {
 	return p.plansFromRoutes(p.specs, p.routes)
 }
 
+// Adopt rebinds the planner to a committed epoch transition: the cluster
+// shape the members now form and the route every bound spec actually
+// rides — the leader's decision, which every member applied. A planner
+// that only ever re-decided locally would drift from the incumbents the
+// moment another member led a transition; after Adopt any member can
+// lead the next one from the true state.
+func (p *Planner) Adopt(c ClusterShape, routes []comm.Route) error {
+	if len(routes) != len(p.routes) {
+		return fmt.Errorf("poseidon: adopting %d routes for %d bound specs", len(routes), len(p.routes))
+	}
+	if c.Servers <= 0 {
+		c.Servers = c.Workers
+	}
+	p.Cluster = c
+	for i, route := range routes {
+		s, err := schemeOf(route)
+		if err != nil {
+			return fmt.Errorf("poseidon: param %d: %w", p.specs[i].Index, err)
+		}
+		p.routes[i] = s
+	}
+	return nil
+}
+
+// schemeOf inverts Scheme.Route.
+func schemeOf(route comm.Route) (Scheme, error) {
+	for _, s := range []Scheme{PS, SFB, OneBitPS, Ring, TreeRing} {
+		if r, _ := s.Route(); r == route {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("route %v has no scheme", route)
+}
+
 // BandwidthObservation is one measured wire-rate sample, taken by the
-// trainer between replan barriers (egress bytes over elapsed wall
+// trainer between epoch transitions (egress bytes over elapsed wall
 // time).
 type BandwidthObservation struct {
 	// BytesPerSec is the measured effective egress rate. Non-positive

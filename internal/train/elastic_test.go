@@ -1,12 +1,14 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -123,12 +125,15 @@ func TestElasticCrashContinuesAndMatchesReference(t *testing.T) {
 
 // TestElasticGracefulLeave has one worker depart voluntarily at a fixed
 // iteration: it gets Left back, the survivors re-form and finish
-// byte-identical.
+// byte-identical. Batch 5 puts the 16×10 FC weight on Algorithm 1's
+// crossover — K(M+N) ≤ 2MN/P holds at P=2 but not P=3 — so the shrink
+// also flips it PS→SFB, and that flip must be logged as a replan event
+// carrying the epoch of the view change that decided it.
 func TestElasticGracefulLeave(t *testing.T) {
 	const n, iters = 3, 10
 	cl := transport.NewElasticChanCluster(n)
 	base := Config{
-		Workers: n, Iters: iters, Batch: 4, LR: 0.05, Mode: Hybrid, Seed: 33,
+		Workers: n, Iters: iters, Batch: 5, LR: 0.05, Mode: Hybrid, Seed: 33,
 		Overlap:     true,
 		BuildNet:    mlpBuilder(16, []int{10}, 4),
 		TrainSet:    smallData(301, 256),
@@ -137,10 +142,13 @@ func TestElasticGracefulLeave(t *testing.T) {
 	}
 	results := make([]*Result, n)
 	errs := make([]error, n)
+	var mtrs []*metrics.Comm
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		r := r
 		cfg := base
+		cfg.Metrics = metrics.NewComm()
+		mtrs = append(mtrs, cfg.Metrics)
 		if r == 2 {
 			cfg.LeaveAt = 5
 		}
@@ -164,6 +172,17 @@ func TestElasticGracefulLeave(t *testing.T) {
 		t.Fatal("survivor marked Left")
 	}
 	paramsIdentical(t, "survivors", results[0], results[1])
+	for r := 0; r < 2; r++ {
+		snap := mtrs[r].Snapshot()
+		if len(snap.ViewChanges) != 1 || len(snap.ReplanEvents) != 1 {
+			t.Fatalf("survivor %d logged view changes %+v and replan events %+v, want one of each",
+				r, snap.ViewChanges, snap.ReplanEvents)
+		}
+		vc, e := snap.ViewChanges[0], snap.ReplanEvents[0]
+		if e.From != "PS" || e.To != "SFB" || e.Epoch != vc.Epoch || e.Iter != vc.RestartIter {
+			t.Fatalf("survivor %d: flip %+v does not join view change %+v as a PS→SFB shrink flip", r, e, vc)
+		}
+	}
 }
 
 // TestElasticJoinExpandsCluster starts two workers on a capacity-three
@@ -244,7 +263,6 @@ func TestElasticConfigValidation(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"elastic with replan", func(c *Config) { c.Elastic = true; c.Replan.Every = 2 }},
 		{"joining without elastic", func(c *Config) { c.Joining = true }},
 		{"view without elastic", func(c *Config) { c.View = cluster.Initial(2) }},
 		{"leave without elastic", func(c *Config) { c.LeaveAt = 2 }},
@@ -258,5 +276,101 @@ func TestElasticConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestElasticKillDuringScheduledReplan is measured replanning and
+// membership churn in one run — the combination the two-protocol design
+// had to reject. A 3-worker elastic cluster replans every 4 iterations
+// from a wrong 100 KB/s bandwidth claim; rank 2 stops launching after
+// iteration 6 and is killed once both survivors have launched 7 and are
+// draining toward the scheduled barrier at 8, so that transition
+// escalates into a membership change. The survivors must finish
+// byte-identical, agree on every flip, log the crash exactly once, and
+// return every payload lease.
+func TestElasticKillDuringScheduledReplan(t *testing.T) {
+	baseline := transport.OutstandingPayloadLeases()
+	const n, iters, every, victim = 3, 16, 4, 2
+	cl := transport.NewElasticChanCluster(n)
+	base := Config{
+		Workers: n, Iters: iters, Batch: 2, LR: 0.05, Mode: Hybrid, Seed: 13,
+		BuildNet:    mlpBuilder(16, []int{32}, 4),
+		TrainSet:    smallData(101, 256),
+		Bandwidth:   100e3, // the in-process mesh is orders of magnitude faster
+		Replan:      ReplanSpec{Every: every, Alpha: 1},
+		Elastic:     true,
+		ViewTimeout: 20 * time.Second,
+	}
+
+	var draining sync.WaitGroup // survivors that launched the last round below the barrier
+	draining.Add(n - 1)
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	mtrs := make([]*metrics.Comm, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		r := r
+		cfg := base
+		cfg.Metrics = metrics.NewComm()
+		mtrs[r] = cfg.Metrics
+		cfg.Progress = func(p Point) {
+			switch {
+			case r != victim && p.Iter == 2*every-1:
+				draining.Done()
+			case r == victim && p.Iter == 2*every-2:
+				// Round 7 can never complete without this rank, so the
+				// survivors sit in ScheduleView(8)'s drain when it dies.
+				draining.Wait()
+				time.Sleep(20 * time.Millisecond)
+				cl.Kill(victim)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[r], errs[r] = RunWorker(cfg, cl.Endpoint(r))
+		}()
+	}
+	wg.Wait()
+	cl.Close()
+
+	if errs[victim] == nil {
+		t.Fatal("killed worker finished cleanly")
+	}
+	for r := 0; r < n-1; r++ {
+		if errs[r] != nil {
+			t.Fatalf("survivor %d: %v", r, errs[r])
+		}
+	}
+	paramsIdentical(t, "survivors", results[0], results[1])
+	snap0 := mtrs[0].Snapshot()
+	for r := 0; r < n-1; r++ {
+		snap := mtrs[r].Snapshot()
+		if len(snap.ReplanEvents) < 1 {
+			t.Fatalf("survivor %d logged no route flip despite the wrong bandwidth claim", r)
+		}
+		if fmt.Sprint(snap.ReplanEvents) != fmt.Sprint(snap0.ReplanEvents) {
+			t.Fatalf("survivors disagree on replan events:\n0: %+v\n%d: %+v", snap0.ReplanEvents, r, snap.ReplanEvents)
+		}
+		if len(snap.ViewChanges) != 1 {
+			t.Fatalf("survivor %d logged %d membership changes, want 1: %+v", r, len(snap.ViewChanges), snap.ViewChanges)
+		}
+		vc := snap.ViewChanges[0]
+		if len(vc.Dead) != 1 || vc.Dead[0] != victim || vc.RestartIter != 2*every {
+			t.Fatalf("survivor %d membership change %+v, want rank %d dead at the escalated barrier %d", r, vc, victim, 2*every)
+		}
+	}
+
+	// Frames queued for the killed rank when it died are stranded in its
+	// inbox; re-attaching the slot reclaims them (see the comm-layer
+	// mid-stream crash test).
+	cl.Join(victim)
+	deadline := time.Now().Add(5 * time.Second)
+	for transport.OutstandingPayloadLeases() != baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("payload leases leaked across kill-during-replan: %d outstanding, baseline %d",
+				transport.OutstandingPayloadLeases(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

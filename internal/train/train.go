@@ -115,13 +115,13 @@ type Config struct {
 	Bandwidth float64
 
 	// Replan enables measured-bandwidth re-planning: every Replan.Every
-	// iterations the cluster drains to a round barrier, worker 0 folds
-	// the wire rate it actually measured into the planner's EWMA
-	// estimate, re-runs Algorithm 1 under it, and broadcasts the
-	// (possibly unchanged) routing decision in a clock-stamped REPLAN
-	// frame that every worker applies deterministically — so a cluster
-	// started with a mis-set Bandwidth converges onto the plan its real
-	// network deserves, with replicas staying byte-identical.
+	// iterations the cluster drains to a scheduled epoch transition, its
+	// leader folds the wire rate it actually measured into the planner's
+	// EWMA estimate, re-runs Algorithm 1 under it, and broadcasts the
+	// (possibly unchanged) routing decision in the MsgView frame that
+	// every worker applies deterministically — so a cluster started with
+	// a mis-set Bandwidth converges onto the plan its real network
+	// deserves, with replicas staying byte-identical.
 	Replan ReplanSpec
 
 	// Metrics, when set, receives this worker's live communication
@@ -134,8 +134,7 @@ type Config struct {
 	// membership barrier, agree on a successor view, re-shard data and
 	// parameter state, and continue at the barrier's restart iteration.
 	// Workers and PS shards contract and expand together (shards are
-	// colocated with workers, as in the paper's deployments). Mutually
-	// exclusive with Replan: both protocols own the round barrier.
+	// colocated with workers, as in the paper's deployments).
 	Elastic bool
 	// View is the initial membership (zero value: all mesh ranks,
 	// cluster.Initial(mesh.N())). In an elastic run the mesh is sized
@@ -219,9 +218,9 @@ type ViewEvent struct {
 // ReplanSpec configures measured-bandwidth re-planning (Config.Replan).
 type ReplanSpec struct {
 	// Every is the epoch length in iterations: each multiple of it is a
-	// replan barrier. 0 disables replanning. Must exceed Staleness —
-	// barriers are armed one epoch ahead, and an epoch shorter than the
-	// staleness window could let a fast worker outrun the arming.
+	// scheduled epoch transition. 0 disables replanning. Must exceed
+	// Staleness — every transition drains the pipeline, so an epoch no
+	// longer than the staleness window would never let it fill.
 	Every int
 	// Alpha is the EWMA weight of the newest bandwidth observation
 	// (0 = poseidon.DefaultReplanAlpha).
@@ -339,9 +338,17 @@ type worker struct {
 	rank int
 	id   int
 	n    int
-	// epoch tracks the membership epoch of the view the worker is
-	// currently seated in (versioning for barrier snapshots).
+	// epoch tracks the epoch of the view the worker is currently seated
+	// in (versioning for barrier snapshots).
 	epoch int
+	// winStart/winBytes open the egress window each member closes into
+	// obs when it arrives at a scheduled transition — before the drain
+	// idles the link — and restarts at every commit. Every member
+	// measures, since any of them may lead; only the leader's obs is
+	// folded into the plan.
+	winStart time.Time
+	winBytes int64
+	obs      poseidon.BandwidthObservation
 
 	net    *autodiff.Network
 	router *comm.Router
@@ -361,9 +368,6 @@ func (w *worker) snapshotBarrier(iter int, params []*tensor.Matrix) {
 
 func (w *worker) run() (*Result, error) {
 	cfg := w.cfg
-	if cfg.Elastic && cfg.Replan.Every > 0 {
-		return nil, fmt.Errorf("train: membership epochs and measured replanning both own the round barrier; enable one")
-	}
 	if !cfg.Elastic {
 		if cfg.Joining {
 			return nil, fmt.Errorf("train: Joining requires Elastic")
@@ -451,24 +455,32 @@ func (w *worker) run() (*Result, error) {
 		PoolWorkers: cfg.PoolWorkers,
 		StartIter:   cfg.StartIter,
 		Metrics:     mtr,
-		// Reroutes can move a parameter onto SFB after construction; the
-		// router re-attaches the extractor through this source.
-		SFSource: func(index int) func() *tensor.SufficientFactor { return sfFor[index] },
+		// A transition can move a parameter onto SFB after construction;
+		// the router re-attaches the extractor through this source.
+		SFSource:    func(index int) func() *tensor.SufficientFactor { return sfFor[index] },
+		ViewTimeout: cfg.ViewTimeout,
+		// The transition leader re-runs Algorithm 1 and broadcasts the
+		// routes with the view, so replicas stay byte-identical through
+		// it: under the bandwidth it measured since the last transition
+		// when the member count held (hysteresis applies; an unscheduled
+		// transition has no fresh observation and re-evaluates under the
+		// standing estimate), for the new shape when it moved.
+		PlanShape: func(workers int) ([]comm.ParamPlan, error) {
+			if cfg.Replan.Every > 0 && workers == w.n {
+				plans := planner.Replan(w.obs)
+				mtr.SetBandwidthEstimate(planner.BandwidthEstimate())
+				return plans, nil
+			}
+			return planner.ReplanShape(poseidon.ClusterShape{Workers: workers, Servers: workers, Batch: cfg.Batch})
+		},
 	}
 	if cfg.Elastic {
 		rcfg.Elastic = true
 		rcfg.View = view
 		rcfg.Joining = cfg.Joining
-		rcfg.ViewTimeout = cfg.ViewTimeout
 		// Contraction and expansion rescale each worker's contribution so
 		// the cluster-wide update stays −LR · mean over all live samples.
 		rcfg.ScaleFor = func(workers int) float32 { return -cfg.LR / float32(workers) }
-		// The barrier leader re-runs Algorithm 1 for the successor shape
-		// and broadcasts the routes with the view, so replicas stay
-		// byte-identical through the transition.
-		rcfg.PlanShape = func(workers int) ([]comm.ParamPlan, error) {
-			return planner.ReplanShape(poseidon.ClusterShape{Workers: workers, Servers: workers, Batch: cfg.Batch})
-		}
 	}
 	router, err := comm.NewRouter(rcfg)
 	if err != nil {
@@ -493,35 +505,22 @@ func (w *worker) run() (*Result, error) {
 		}()
 	}
 
-	// Replan barriers: armed one epoch ahead so post-barrier frames from
-	// fast peers park instead of reaching pre-barrier syncers; worker 0
-	// measures, re-plans, and broadcasts the decision at each one. A
-	// continuation run (StartIter > 0) arms the first barrier past its
-	// starting point.
-	nextBarrier := 0
-	if cfg.Replan.Every > 0 {
-		nextBarrier = (cfg.StartIter/cfg.Replan.Every + 1) * cfg.Replan.Every
-		if nextBarrier >= cfg.Iters {
-			nextBarrier = 0 // no barriers left; nothing to arm
-		} else {
-			router.ArmReroute(nextBarrier)
-		}
-	}
-	winStart := time.Now()
-	winBytes := router.EgressBytes()
+	w.openWindow()
 
 	res := &Result{Mode: cfg.Mode}
 	leaveSent := false
+	// resumed is the iteration the current epoch started at: the next
+	// scheduled transition is the first multiple of Replan.Every past it.
+	// Every member reads it off the committed view, so they agree on
+	// which barriers an unscheduled transition already stood in for.
+	resumed := cfg.StartIter
 	for iter := cfg.StartIter; ; {
-		if nextBarrier > 0 && iter == nextBarrier {
-			if err := w.replanBarrier(iter, planner, mtr, &winStart, &winBytes); err != nil {
-				return nil, err
+		if cfg.Replan.Every > 0 && iter > resumed && iter < cfg.Iters && iter%cfg.Replan.Every == 0 {
+			if elapsed := time.Since(w.winStart).Seconds(); elapsed > 0 {
+				w.obs.BytesPerSec = float64(router.EgressBytes()-w.winBytes) / elapsed
 			}
-			nextBarrier += cfg.Replan.Every
-			if nextBarrier >= cfg.Iters {
-				nextBarrier = 0 // no more barriers; nothing left to arm
-			} else {
-				router.ArmReroute(nextBarrier)
+			if err := router.ScheduleView(iter); err != nil {
+				return nil, err
 			}
 		}
 		if cfg.LeaveAt > 0 && iter >= cfg.LeaveAt && !leaveSent {
@@ -538,7 +537,7 @@ func (w *worker) run() (*Result, error) {
 		} else {
 			router.WaitFor(cfg.Iters + cfg.Staleness)
 		}
-		if cfg.Elastic && router.ViewPending() {
+		if router.ViewPending() {
 			vc, err := router.AwaitView(iter)
 			if err != nil {
 				return nil, err
@@ -550,7 +549,7 @@ func (w *worker) run() (*Result, error) {
 			if err := w.applyView(vc, planner, params); err != nil {
 				return nil, err
 			}
-			iter = vc.RestartIter
+			iter, resumed = vc.RestartIter, vc.RestartIter
 			continue
 		}
 		if err := router.Err(); err != nil {
@@ -601,12 +600,17 @@ func (w *worker) run() (*Result, error) {
 	return res, nil
 }
 
-// applyView rebinds the worker to a committed membership view: dense
-// index, member count, data shard, and the planner's cluster shape.
-// The local replan keeps this member's planner consistent with the one
-// the barrier leader consulted, so any member can lead the next
-// barrier; the routes themselves were already adopted from the leader's
-// broadcast inside the router.
+// openWindow restarts the egress window and discards the observation
+// the previous one closed into.
+func (w *worker) openWindow() {
+	w.winStart, w.winBytes, w.obs = time.Now(), w.router.EgressBytes(), poseidon.BandwidthObservation{}
+}
+
+// applyView rebinds the worker to a committed epoch transition: dense
+// index, member count and data shard when the member set moved, and
+// always the planner — it adopts the committed shape and route vector
+// (already live inside the router), so any member can lead the next
+// transition from the true incumbents — and the bandwidth window.
 func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params []*tensor.Matrix) error {
 	w.id = vc.View.Index(w.rank)
 	w.n = vc.View.Size()
@@ -614,10 +618,15 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 	if w.id < 0 {
 		return fmt.Errorf("train: rank %d missing from committed view %v", w.rank, vc.View.Members)
 	}
-	w.local = w.cfg.TrainSet.Shard(w.id, w.n)
-	if _, err := planner.ReplanShape(poseidon.ClusterShape{Workers: w.n, Servers: w.n, Batch: w.cfg.Batch}); err != nil {
+	shape := poseidon.ClusterShape{Workers: w.n, Servers: w.n, Batch: w.cfg.Batch}
+	if err := planner.Adopt(shape, w.router.Routes()); err != nil {
 		return err
 	}
+	w.openWindow()
+	if !vc.Moved {
+		return nil
+	}
+	w.local = w.cfg.TrainSet.Shard(w.id, w.n)
 	if w.cfg.OnViewChange != nil {
 		// Snapshot the adopted replica for the hook — the state a parity
 		// reference run continues from (StartIter + InitialParams).
@@ -629,35 +638,6 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 		}
 		w.cfg.OnViewChange(ev)
 	}
-	return nil
-}
-
-// replanBarrier executes one replan round barrier at iteration barrier.
-// Worker 0 turns the egress bytes it moved since the previous barrier
-// into a bandwidth observation, folds it into the planner's EWMA, and
-// broadcasts the resulting decision; everyone else waits for that
-// decision. Both sides apply it identically, then restart the
-// measurement window.
-func (w *worker) replanBarrier(barrier int, planner *poseidon.Planner, mtr *metrics.Comm, winStart *time.Time, winBytes *int64) error {
-	var err error
-	if w.id == 0 {
-		var plans []comm.ParamPlan
-		if elapsed := time.Since(*winStart).Seconds(); elapsed > 0 {
-			obs := poseidon.BandwidthObservation{
-				BytesPerSec: float64(w.router.EgressBytes()-*winBytes) / elapsed,
-			}
-			plans = planner.Replan(obs)
-			mtr.SetBandwidthEstimate(planner.BandwidthEstimate())
-		}
-		_, err = w.router.Reroute(barrier, plans)
-	} else {
-		_, err = w.router.AwaitReroute(barrier)
-	}
-	if err != nil {
-		return err
-	}
-	*winStart = time.Now()
-	*winBytes = w.router.EgressBytes()
 	return nil
 }
 
@@ -784,7 +764,7 @@ func sfExtractors(net *autodiff.Network) map[int]func() *tensor.SufficientFactor
 
 // plansFor plans net's parameters on the given (retained) planner and
 // attaches SF extractors; it also returns the extractor map so the
-// router can re-attach extractors when a replan barrier moves a
+// router can re-attach extractors when an epoch transition moves a
 // parameter onto SFB later.
 func plansFor(planner *poseidon.Planner, net *autodiff.Network) ([]comm.ParamPlan, map[int]func() *tensor.SufficientFactor, error) {
 	plans, err := planner.ParamPlans(ParamSpecs(net))

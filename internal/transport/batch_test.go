@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -21,6 +22,59 @@ func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
 	if WireBytes(msg) != 4+headerLen+1 {
 		t.Fatalf("WireBytes = %d", WireBytes(msg))
 	}
+}
+
+// Every declared wire type survives encode/decode, and the first value
+// past the block is rejected — decode's bound is the block's own end
+// marker, so a type added or removed cannot leave it stale.
+func TestEveryWireTypeRoundTrips(t *testing.T) {
+	wire := []MsgType{
+		MsgPush, MsgBcast, MsgSF, MsgQuantPush, MsgQuantBcast, MsgBarrier,
+		MsgControl, MsgViewHalt, MsgView, MsgRingReduce, MsgRingGather,
+	}
+	if last := wire[len(wire)-1]; int(last) != len(wire) || last+1 != msgTypeEnd {
+		t.Fatalf("wire type table is out of step with the declaration block: %d entries, last %d, end marker %d",
+			len(wire), last, msgTypeEnd)
+	}
+	for _, typ := range wire {
+		got, err := decode(encode(Message{Type: typ, From: 2, Layer: -1, Iter: 5, Payload: []byte{1, 2}}))
+		if err != nil || got.Type != typ || got.Layer != -1 || len(got.Payload) != 2 {
+			t.Fatalf("type %d round trip: %+v, %v", typ, got, err)
+		}
+	}
+	for _, typ := range []MsgType{0, msgTypeEnd} {
+		if _, err := decode(encode(Message{Type: typ})); err == nil {
+			t.Fatalf("undeclared type %d decoded from the wire", typ)
+		}
+	}
+}
+
+// FuzzDecodeFrame hammers the frame-body decoder every TCP and SHM
+// reader runs on bytes a peer wrote: no panic, the payload aliases the
+// input rather than being sized by anything the frame claims, and an
+// accepted body re-encodes to itself.
+func FuzzDecodeFrame(f *testing.F) {
+	valid := encode(Message{Type: MsgView, From: 3, Layer: -1, Chunk: 7, Iter: 12, Payload: []byte("payload")})
+	f.Add(valid)
+	f.Add(encode(Message{Type: MsgPush}))
+	f.Add(encode(Message{Type: msgGoodbye, From: 1}))
+	f.Add(encode(Message{Type: MsgPeerGone, From: 1}))
+	f.Add(encode(Message{Type: msgTypeEnd}))
+	f.Add(valid[:headerLen-1])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := decode(data)
+		if err != nil {
+			return
+		}
+		if len(msg.Payload) != len(data)-headerLen {
+			t.Fatalf("%d-byte body decoded to a %d-byte payload", len(data), len(msg.Payload))
+		}
+		if enc := encode(msg); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted a non-canonical frame: %x re-encodes to %x", data, enc)
+		}
+	})
 }
 
 func TestChanMeshSendBatch(t *testing.T) {
@@ -73,6 +127,7 @@ func TestTCPMeshSendBatch(t *testing.T) {
 			if got.Layer != int32(b) || got.Chunk != int32(c) || len(got.Payload) != 512 {
 				t.Fatalf("frame %d.%d corrupted: %+v", b, c, got)
 			}
+			got.ReleasePayload()
 		}
 	}
 	// Loopback batches short-circuit the network but keep order.
@@ -82,6 +137,8 @@ func TestTCPMeshSendBatch(t *testing.T) {
 	for want := int32(1); want <= 2; want++ {
 		if msg, err := ms[1].Recv(); err != nil || msg.Chunk != want {
 			t.Fatalf("loopback batch: %+v %v", msg, err)
+		} else {
+			msg.ReleasePayload()
 		}
 	}
 }
@@ -166,6 +223,7 @@ func TestTCPMeshConcurrentSendAndBatch(t *testing.T) {
 			}
 		}
 		perLayerIter[fmt.Sprintf("%d.%d", got.Layer, got.Chunk)]++
+		got.ReleasePayload()
 	}
 	for g := 0; g < goroutines; g++ {
 		if n := perLayerIter[fmt.Sprintf("%d.0", g)]; n != msgs {
@@ -227,5 +285,7 @@ func TestDelayMeshPassThrough(t *testing.T) {
 	}
 	if msg, err := m.Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("recv through wrapper: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }

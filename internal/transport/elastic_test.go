@@ -32,8 +32,9 @@ func assertPeerDownErr(t *testing.T, err error, wantPeer int) *ErrPeerDown {
 	return pd
 }
 
-// recvType drains msgs from m until one of type want arrives (releasing
-// payload leases of everything skipped), bounded by a timeout.
+// recvType drains msgs from m until one of type want arrives, bounded by
+// a timeout. Every payload lease is released, the match's included: the
+// returned message is good for its header fields only.
 func recvType(t *testing.T, m Mesh, want MsgType) Message {
 	t.Helper()
 	type result struct {
@@ -48,11 +49,11 @@ func recvType(t *testing.T, m Mesh, want MsgType) Message {
 				done <- result{err: err}
 				return
 			}
+			msg.ReleasePayload()
 			if msg.Type == want {
 				done <- result{msg: msg}
 				return
 			}
-			msg.ReleasePayload()
 		}
 	}()
 	select {
@@ -219,6 +220,7 @@ func TestTCPElasticGoodbyeDetachesSilently(t *testing.T) {
 	if msg.Type != MsgBarrier || msg.From != 0 {
 		t.Fatalf("unexpected message: %+v", msg)
 	}
+	msg.ReleasePayload()
 	// Sends to the departed slot drop silently.
 	if err := ms[0].Send(2, Message{Type: MsgPush}); err != nil {
 		t.Fatalf("send to departed slot: %v", err)

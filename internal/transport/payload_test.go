@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -8,17 +10,43 @@ import (
 
 // drainLeases polls until the outstanding-lease count returns to base
 // (in-flight frames may still be crossing sockets when the sender
-// finishes) or the deadline passes.
+// finishes) or the deadline passes. A count below base can only rise
+// back by leaking, so it fails at once: the baseline itself was inflated
+// by leases an earlier test left outstanding and released late.
 func drainLeases(t *testing.T, base int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for OutstandingPayloadLeases() != base {
+	for {
+		n := OutstandingPayloadLeases()
+		if n == base {
+			return
+		}
+		if n < base {
+			t.Fatalf("payload leases fell to %d, below the baseline %d: an earlier test's straggler release landed inside this one", n, base)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leaked payload leases: %d outstanding, want %d",
-				OutstandingPayloadLeases(), base)
+			t.Fatalf("leaked payload leases: %d outstanding, want %d", n, base)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestMain holds the whole package to the discipline drainLeases checks
+// per test: every lease a test takes out is returned, so the gauge ends
+// at zero. One that does not inflates every later baseline, and its late
+// release then drops a TestPayloadLease* gauge below where it started.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	deadline := time.Now().Add(5 * time.Second)
+	for code == 0 && OutstandingPayloadLeases() != 0 {
+		if time.Now().After(deadline) {
+			fmt.Printf("FAIL: %d payload leases outstanding after the last test\n", OutstandingPayloadLeases())
+			code = 1
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	os.Exit(code)
 }
 
 // A balanced lease flow over the in-process mesh — lease, send, consume,

@@ -98,6 +98,8 @@ func TestSHMMeshBasicExchange(t *testing.T) {
 	}
 	if got, err := ms[1].Recv(); err != nil || got.Type != MsgBarrier {
 		t.Fatalf("loopback recv: %+v %v", got, err)
+	} else {
+		got.ReleasePayload()
 	}
 
 	for _, m := range ms {
@@ -179,6 +181,8 @@ func TestSHMRejectsOversizedFrame(t *testing.T) {
 	}
 	if msg, err := ms[1].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("recv after rejected send: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 

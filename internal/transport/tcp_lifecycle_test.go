@@ -163,6 +163,8 @@ func TestSetupIgnoresStrayConnections(t *testing.T) {
 	}
 	if msg, err := m1.Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("recv after stray conn: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 
@@ -185,6 +187,8 @@ func TestSendRejectsOversizedFrame(t *testing.T) {
 	}
 	if msg, err := ms[1].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("recv after rejected send: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 
@@ -210,6 +214,8 @@ func TestLoopbackRejectsOversizedFrame(t *testing.T) {
 	}
 	if msg, err := ms[0].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("recv after rejected loopback: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 
@@ -240,6 +246,8 @@ func TestOnCopyCountsHeaderBytesOnly(t *testing.T) {
 	}
 	if msg, err := ms[0].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("loopback recv: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 	for i := 0; i < 5; i++ {
 		msg, err := ms[1].Recv()
@@ -337,6 +345,8 @@ func TestCrashWithoutGoodbyeSurfacesPeerDown(t *testing.T) {
 	}
 	if msg, err := ms[1].Recv(); err != nil || msg.Iter != 7 {
 		t.Fatalf("queued msg: %+v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 	// Simulate a crash: the socket dies without the goodbye Close sends.
 	rawConnTo(ms[0], 1).Close()
@@ -470,12 +480,14 @@ func TestCloseRaceWithTraffic(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					if _, err := m.Recv(); err != nil {
+					msg, err := m.Recv()
+					if err != nil {
 						if !okShutdownErr(err) {
 							t.Errorf("recv: %v", err)
 						}
 						return
 					}
+					msg.ReleasePayload()
 				}
 			}()
 		}
@@ -496,6 +508,20 @@ func TestCloseRaceWithTraffic(t *testing.T) {
 		case <-done:
 		case <-time.After(15 * time.Second):
 			t.Fatal("workers still blocked after both endpoints closed")
+		}
+		// A reader racing Close can queue a frame after the consumer above
+		// saw ErrClosed. Once the readers are gone nothing more arrives, so
+		// collect the stragglers' leases: Recv hands out queued traffic
+		// before it reports closure.
+		for _, m := range ms {
+			m.wg.Wait()
+			for {
+				msg, err := m.Recv()
+				if err != nil {
+					break
+				}
+				msg.ReleasePayload()
+			}
 		}
 	}
 }

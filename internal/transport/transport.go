@@ -36,24 +36,20 @@ const (
 	MsgBarrier
 	// MsgControl carries trainer control information (stop, config).
 	MsgControl
-	// MsgReplan carries a clock-stamped routing-plan switch: Iter names
-	// the first iteration governed by the new plan and the payload holds
-	// one route byte per synchronized parameter. Every worker applies the
-	// same frame at the same round barrier, which is what keeps replicas
-	// byte-identical across a mid-training re-route.
-	MsgReplan
-	// MsgViewHalt announces that the sender has parked at a membership
-	// barrier: Iter is the next iteration it would have launched (the
-	// view leader restarts the cluster at the max over all halts) and the
-	// payload carries the dead/joined rank sets it has observed plus a
-	// graceful-leave flag (see internal/comm's view-change protocol).
+	// MsgViewHalt announces that the sender has parked at an epoch
+	// transition: Iter is the next iteration it would have launched (the
+	// leader restarts the cluster at the max over all halts) and the
+	// payload carries the dead/joined rank sets it has observed plus the
+	// graceful-leave and drained-at-Iter flags (see internal/comm's
+	// epoch-transition protocol).
 	MsgViewHalt
-	// MsgView carries the leader's decided membership epoch: the new
+	// MsgView carries the leader's decided epoch: the successor
 	// cluster.View, the restart iteration (also in Iter), the route byte
-	// per parameter for the re-planned shape, and the leader's staged
-	// replica bytes — the state handoff every member (and joiner) adopts
-	// verbatim, which is what keeps replicas byte-identical across the
-	// transition.
+	// per parameter, and — unless every member drained to the same
+	// scheduled iteration with membership unchanged — the leader's staged
+	// replica bytes, which every member (and joiner) adopts verbatim.
+	// Every member applies the same frame at the same round barrier,
+	// which is what keeps replicas byte-identical across the transition.
 	MsgView
 	// MsgRingReduce carries one partially-reduced segment of a ring
 	// all-reduce to the next worker on the chain (Chunk names the
@@ -64,6 +60,9 @@ const (
 	// ring (the all-gather phase); receivers apply it verbatim to their
 	// staged replica.
 	MsgRingGather
+	// msgTypeEnd is one past the last wire type — decode's upper bound,
+	// so adding or removing a type above cannot leave the check stale.
+	msgTypeEnd
 )
 
 // Synthetic local event types: injected into an endpoint's own inbox by
@@ -166,7 +165,7 @@ func decode(buf []byte) (Message, error) {
 	if len(buf) < headerLen {
 		return Message{}, fmt.Errorf("transport: short frame: %d bytes", len(buf))
 	}
-	if t := MsgType(buf[0]); (t < MsgPush || t > MsgRingGather) && t != msgGoodbye {
+	if t := MsgType(buf[0]); (t < MsgPush || t >= msgTypeEnd) && t != msgGoodbye {
 		return Message{}, fmt.Errorf("transport: unknown message type %d", t)
 	}
 	return Message{

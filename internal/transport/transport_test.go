@@ -48,6 +48,8 @@ func TestChanMeshLoopback(t *testing.T) {
 	}
 	if msg, err := ms[0].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("loopback failed: %v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 
@@ -152,12 +154,15 @@ func TestTCPMeshPairwise(t *testing.T) {
 			t.Fatalf("payload corrupted at %d", i)
 		}
 	}
+	got.ReleasePayload()
 	// Loopback on TCP mesh.
 	if err := ms[1].Send(1, Message{Type: MsgBarrier}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := ms[1].Recv(); err != nil || msg.Type != MsgBarrier {
 		t.Fatalf("tcp loopback: %v %v", msg, err)
+	} else {
+		msg.ReleasePayload()
 	}
 }
 
@@ -200,8 +205,10 @@ func TestTCPMeshConcurrentSenders(t *testing.T) {
 	}
 	send.Wait()
 	for k := 0; k < 4*msgs; k++ {
-		if _, err := ms[1].Recv(); err != nil {
+		msg, err := ms[1].Recv()
+		if err != nil {
 			t.Fatal(err)
 		}
+		msg.ReleasePayload()
 	}
 }

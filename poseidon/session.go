@@ -188,8 +188,7 @@ func (b *Builder) Replan(spec ReplanSpec) *Builder { b.cfg.Replan = spec; return
 // Elastic enables membership epochs: a peer failure or voluntary
 // departure no longer aborts the run — the members drain to a
 // membership barrier, agree on a successor view, re-shard state, and
-// continue. Mutually exclusive with Replan (both protocols own the
-// round barrier).
+// continue. Composes with Replan: both ride the same epoch transition.
 func (b *Builder) Elastic(on bool) *Builder { b.cfg.Elastic = on; return b }
 
 // Members names the ranks actually serving at epoch 0 of an elastic
@@ -302,9 +301,6 @@ func (b *Builder) Build() (*Session, error) {
 	if cfg.Replan.Every > 0 && cfg.Replan.Every <= cfg.Staleness {
 		return nil, fmt.Errorf("poseidon: replan interval %d must exceed staleness %d", cfg.Replan.Every, cfg.Staleness)
 	}
-	if cfg.Elastic && cfg.Replan.Every > 0 {
-		return nil, fmt.Errorf("poseidon: membership epochs and measured replanning both own the round barrier; enable one")
-	}
 	if !cfg.Elastic && (cfg.Joining || cfg.LeaveAt > 0 || cfg.View.Size() > 0) {
 		return nil, fmt.Errorf("poseidon: Members/Joining/LeaveAt need Builder.Elastic")
 	}
@@ -339,8 +335,10 @@ func (b *Builder) Build() (*Session, error) {
 		s.view = cluster.Initial(cfg.Workers)
 	}
 	if cfg.Elastic {
-		// The session tracks the committed view so View() stays truthful
-		// across barriers; the user's hook runs after the update.
+		// The session tracks the view committed by the last membership
+		// change, so View() names the live members across barriers
+		// (replans bump the epoch without firing the hook); the user's
+		// hook runs after the update.
 		userFn := b.onView
 		s.cfg.OnViewChange = func(ev MembershipEvent) {
 			s.viewMu.Lock()

@@ -100,10 +100,11 @@ func BenchmarkHeadlineVGG22K_10GbE(b *testing.B) {
 }
 
 // BenchmarkHeadlineFuncOverlap reports the functional-plane headline:
-// wall-clock ms/iter for serialized vs overlapped chunked pushes on the
+// wall-clock ms/iter for serialized vs pooled chunked pushes on the
 // FC-heavy model over 20 MB/s links (real SGD, real bytes, modeled
-// wire time). The overlapped number must come out lower — that is the
-// paper's WFBP claim reproduced with actual training.
+// wire time). Both arms launch each layer as its backward step ends;
+// the pooled arm's sends then run beside the rest of the pass and
+// beside each other, so its number must come out lower.
 func BenchmarkHeadlineFuncOverlap(b *testing.B) {
 	arms := experiments.FuncScaleArms()
 	b.ReportAllocs()

@@ -57,7 +57,7 @@ func RegisterCommon(fs *flag.FlagSet) *Common {
 	fs.Float64Var(&c.LR, "lr", 0.1, "learning rate")
 	fs.StringVar(&c.Mode, "mode", "hybrid", "sync mode: ps|hybrid|1bit")
 	fs.Int64Var(&c.Seed, "seed", 42, "shared model/data seed")
-	fs.BoolVar(&c.Overlap, "overlap", false, "stream pushes through the comm send pool (WFBP)")
+	fs.BoolVar(&c.Overlap, "overlap", false, "send through the comm send pool instead of completing every send inside its launch")
 	fs.IntVar(&c.Chunk, "chunk", 0, "max float32s per KV chunk (0 = whole tensors)")
 	fs.IntVar(&c.PrintEvery, "print-every", 10, "print a progress line every this many iterations (streamed during training)")
 	fs.BoolVar(&c.DumpLosses, "dump-losses", false, "after training, print one machine-readable 'LOSS <iter> <loss>' line per iteration")

@@ -8,10 +8,12 @@
 //
 // Large tensors are chunked across KV shards and pushed through a
 // fixed-worker send pool (queue depth bounded by the consistency
-// protocol itself), so chunk c+1 of a layer (and every later layer)
-// streams while chunk c is still on the wire — wait-free
-// backpropagation realized with real bytes rather than the simulated
-// timeline of internal/engine.
+// protocol itself), so chunk c+1 of a layer streams while chunk c is
+// still on the wire. The trainer calls Router.Launch for a layer the
+// moment its backward step ends, so those frames are encoded and sent
+// while the layers below are still computing — wait-free backpropagation
+// (paper §3.1) with real bytes rather than the simulated timeline of
+// internal/engine.
 //
 // Adding a strategy (ring all-reduce, top-k sparsification, ...) means
 // implementing Syncer and teaching routeFor to construct it; the
@@ -86,13 +88,14 @@ type ParamPlan struct {
 	// bytes) — the baseline the metrics subsystem charges SFB savings
 	// against. Zero when no cost model produced the plan.
 	PSEquivBytes int64
-	// SF extracts the parameter's sufficient factor after a backward
-	// pass. Required for RouteSFB. The factor is consumed synchronously
-	// inside Launch — encoded and copied before it returns — and Launch
-	// folds the update scaling into U in place, so implementations may
-	// return views of live layer buffers (autodiff's
-	// BorrowSufficientFactor) as long as nothing else reads them
-	// between the backward pass and the next one.
+	// SF extracts the parameter's sufficient factor once its layer's
+	// backward step has ended. Required for RouteSFB. Launch calls it,
+	// folds the update scaling into U in place, and encodes and copies
+	// the factor before it returns, so implementations may return views
+	// of live pass buffers (autodiff's BorrowSufficientFactor): Launch
+	// runs mid-backward, from the layer's completion callback, and the
+	// rest of the pass must neither read U again nor write V. Nothing of
+	// the factor is referenced after Launch returns.
 	SF func() *tensor.SufficientFactor
 }
 
@@ -102,7 +105,8 @@ type ParamPlan struct {
 // consistency clock, and report completed iterations by advancing the
 // clock.
 type Syncer interface {
-	// Launch ships this worker's contribution for iteration iter.
+	// Launch ships this worker's contribution for iteration iter; it
+	// may run while the backward pass is still working on lower layers.
 	// update is the scaled dense update, borrowed from the router's
 	// update ring: it stays valid until this parameter's clock advances
 	// for iter (the router reuses the ring slot staleness+1 iterations

@@ -550,34 +550,51 @@ func (r *Router) receiveLoop() {
 	}
 }
 
-// LaunchAll starts synchronization of every parameter for this
-// iteration — the per-layer sync() calls of the paper's Algorithm 2.
-// Dense routes receive their gradient scaled into the update ring's
-// slot for this iteration (no per-iteration allocation), so the
-// caller's grad buffers are free for the next backward pass immediately.
+// Launch starts synchronization of parameter index for this iteration —
+// one sync() call of the paper's Algorithm 2, made the moment the
+// layer's backward step ends. A dense route receives grad scaled into
+// the update ring's slot for this iteration (no per-iteration
+// allocation); an SFB route ignores grad and extracts its factor. Either
+// way everything Launch needs from the caller's buffers is consumed
+// before it returns, so they are free for the rest of the backward pass.
 //
 // Precondition: the caller must have returned from WaitFor(iter) before
-// LaunchAll(iter) — the training loop's natural gate. That is what lets
-// slot iter%(staleness+1) be reused: the launch that last wrote it
-// (iteration iter−staleness−1) has fully synchronized, so no dispatched
-// encode task can still be reading the buffer being refilled.
+// any Launch(iter, …) — the training loop's natural gate. That is what
+// lets slot iter%(staleness+1) be reused: the launches that last wrote
+// it (iteration iter−staleness−1) have fully synchronized, so no
+// dispatched encode task can still be reading the buffer being refilled.
+func (r *Router) Launch(iter, index int, grad *tensor.Matrix) error {
+	if index < 0 || index >= len(r.syncers) {
+		return fmt.Errorf("comm: launch of unknown param %d", index)
+	}
+	var update *tensor.Matrix
+	if r.plans[index].Route != RouteSFB {
+		update = r.updRing[iter%len(r.updRing)][index]
+		if len(grad.Data) != len(update.Data) {
+			return fmt.Errorf("comm: param %d: gradient has %d values, plan says %d", index, len(grad.Data), len(update.Data))
+		}
+		for i, g := range grad.Data {
+			update.Data[i] = g * r.scale
+		}
+	}
+	if err := r.syncers[index].Launch(iter, update); err != nil {
+		return err
+	}
+	if r.pstats != nil {
+		r.pstats[index].CountRound()
+	}
+	return nil
+}
+
+// LaunchAll is Launch for every parameter in index order, for callers
+// that hold a finished gradient set.
 func (r *Router) LaunchAll(iter int, grads []*tensor.Matrix) error {
 	if len(grads) != len(r.syncers) {
 		return fmt.Errorf("comm: %d grads for %d syncers", len(grads), len(r.syncers))
 	}
-	slot := r.updRing[iter%len(r.updRing)]
-	for i, s := range r.syncers {
-		var update *tensor.Matrix
-		if r.plans[i].Route != RouteSFB {
-			update = slot[i]
-			update.CopyFrom(grads[i])
-			update.Scale(r.scale)
-		}
-		if err := s.Launch(iter, update); err != nil {
+	for i, g := range grads {
+		if err := r.Launch(iter, i, g); err != nil {
 			return err
-		}
-		if r.pstats != nil {
-			r.pstats[i].CountRound()
 		}
 	}
 	return r.Err()

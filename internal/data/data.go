@@ -8,6 +8,7 @@
 package data
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -79,15 +80,25 @@ func wave(t float64) float64 {
 // Batch copies samples [start, start+size) (wrapping) into a fresh
 // matrix and label slice.
 func (d *Dataset) Batch(start, size int) (*tensor.Matrix, []int) {
-	x := tensor.NewMatrix(size, d.X.Cols)
+	x := new(tensor.Matrix)
 	labels := make([]int, size)
+	d.BatchInto(x, labels, start, size)
+	return x, labels
+}
+
+// BatchInto is Batch into caller-owned buffers: x is resized to
+// size×C·H·W and labels, which must hold size entries, is overwritten.
+func (d *Dataset) BatchInto(x *tensor.Matrix, labels []int, start, size int) {
+	if len(labels) != size {
+		panic(fmt.Sprintf("data: BatchInto got %d label slots for a batch of %d", len(labels), size))
+	}
+	x.Resize(size, d.X.Cols)
 	n := d.X.Rows
 	for i := 0; i < size; i++ {
 		src := (start + i) % n
 		copy(x.Row(i), d.X.Row(src))
 		labels[i] = d.Labels[src]
 	}
-	return x, labels
 }
 
 // Shard returns worker w's 1/p slice of the dataset (strided, so class

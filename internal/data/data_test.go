@@ -1,6 +1,10 @@
 package data
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
 
 func TestSyntheticDeterministic(t *testing.T) {
 	a := Synthetic(42, 100, 10, 3, 8, 8, 0.3)
@@ -36,6 +40,35 @@ func TestBatchWraps(t *testing.T) {
 		if x.At(2, j) != d.X.At(0, j) {
 			t.Fatal("wrap-around sample mismatch")
 		}
+	}
+}
+
+// BatchInto must fill reused buffers with exactly what Batch returns,
+// growing and shrinking with the batch size, without allocating once
+// the buffers have seen the largest batch.
+func TestBatchIntoMatchesBatch(t *testing.T) {
+	d := Synthetic(1, 10, 2, 1, 4, 4, 0.1)
+	x := new(tensor.Matrix)
+	labels := make([]int, 6)
+	for _, c := range []struct{ start, size int }{{0, 6}, {8, 4}, {3, 6}} {
+		wantX, wantL := d.Batch(c.start, c.size)
+		d.BatchInto(x, labels[:c.size], c.start, c.size)
+		if x.Rows != wantX.Rows || x.Cols != wantX.Cols {
+			t.Fatalf("batch(%d,%d): shape %dx%d, want %dx%d", c.start, c.size, x.Rows, x.Cols, wantX.Rows, wantX.Cols)
+		}
+		for i, v := range wantX.Data {
+			if x.Data[i] != v {
+				t.Fatalf("batch(%d,%d): elem %d = %g, want %g", c.start, c.size, i, x.Data[i], v)
+			}
+		}
+		for i, l := range wantL {
+			if labels[i] != l {
+				t.Fatalf("batch(%d,%d): label %d = %d, want %d", c.start, c.size, i, labels[i], l)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { d.BatchInto(x, labels, 2, 6) }); allocs != 0 {
+		t.Fatalf("BatchInto into warm buffers allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -8,6 +8,12 @@
 // C·H·W features). FC layers expose their per-sample sufficient factors
 // (u = output delta, v = input activation) so the trainer can route them
 // through SFB.
+//
+// Layers own parameters and parameter gradients only. Everything a pass
+// produces — outputs, input gradients, pooling argmax — lives in a
+// caller-owned Scratch, sized on first use and Resized after that, so a
+// steady-state pass allocates nothing and any number of passes (the
+// network's one training workspace, many Predictors) share a layer.
 package autodiff
 
 import (
@@ -18,19 +24,34 @@ import (
 	"repro/internal/tensor"
 )
 
+// Scratch holds what one pass through one layer produces. A Scratch
+// belongs to one workspace slot: it must see the same layer on every
+// pass, and one pass at a time.
+type Scratch struct {
+	// Out is the layer's forward output, K×out.
+	Out tensor.Matrix
+	// DX is dL/dx from the last Backward that was asked for it, K×in.
+	DX tensor.Matrix
+	// argmax is MaxPool2's winning input index per output cell.
+	argmax []int
+}
+
 // Layer is one differentiable stage.
 type Layer interface {
-	// Forward consumes a K×in batch and returns a K×out batch.
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	// Backward consumes dL/dout (K×out) and returns dL/din (K×in),
-	// accumulating parameter gradients internally.
-	Backward(dout *tensor.Matrix) *tensor.Matrix
+	// Forward computes the output for the K×in batch x into s.Out. It
+	// reads the layer's parameters and writes only s, so concurrent
+	// Forwards over one layer are safe when each has its own Scratch.
+	Forward(s *Scratch, x *tensor.Matrix)
+	// Backward consumes dout = dL/dout (K×out) of the pass whose
+	// Forward(s, x) ran last. It overwrites the layer's parameter
+	// gradients (mean over the batch; nothing is accumulated) and,
+	// when needDX, writes dL/dx into s.DX. A network's first layer is
+	// run with needDX false: nothing consumes its input gradient.
+	Backward(s *Scratch, x, dout *tensor.Matrix, needDX bool)
 	// Params returns the layer's trainable tensors (possibly empty).
 	Params() []*tensor.Matrix
-	// Grads returns the gradients matching Params, zeroed by ZeroGrads.
+	// Grads returns the gradients matching Params.
 	Grads() []*tensor.Matrix
-	// ZeroGrads clears accumulated gradients.
-	ZeroGrads()
 	// Name identifies the layer.
 	Name() string
 }
@@ -43,8 +64,16 @@ type FC struct {
 	W, B      *tensor.Matrix // W: out×in, B: 1×out
 	GW, GB    *tensor.Matrix
 
-	lastX    *tensor.Matrix // K×in, saved for backward
-	lastDout *tensor.Matrix // K×out, saved for SF extraction
+	// FactorOnly makes Backward skip the dense weight-gradient GEMM: the
+	// gradient then exists only as the sufficient factor (paper §3.2 —
+	// the sender ships (u, v) so that it need not materialise uᵀ·v) and
+	// GW keeps whatever it held. The trainer sets it exactly while W's
+	// live route is SFB.
+	FactorOnly bool
+
+	// lastX (K×in) and lastDout (K×out) are the last Backward's
+	// operands — the sufficient factor. They alias the pass's buffers.
+	lastX, lastDout *tensor.Matrix
 
 	// borrowedSF is the shared wrapper BorrowSufficientFactor hands
 	// out, re-pointed at the live buffers on every call.
@@ -68,33 +97,37 @@ func NewFC(name string, in, out int, rng *rand.Rand) *FC {
 func (f *FC) Name() string { return f.LayerName }
 
 // Forward computes y = x·Wᵀ + b.
-func (f *FC) Forward(x *tensor.Matrix) *tensor.Matrix {
-	f.lastX = x
-	y := tensor.NewMatrix(x.Rows, f.W.Rows)
+func (f *FC) Forward(s *Scratch, x *tensor.Matrix) {
+	y := &s.Out
+	y.Resize(x.Rows, f.W.Rows)
 	tensor.MulTransBInto(y, x, f.W)
+	bias := f.B.Row(0)
 	for i := 0; i < y.Rows; i++ {
 		row := y.Row(i)
-		for j, b := range f.B.Row(0) {
+		for j, b := range bias {
 			row[j] += b
 		}
 	}
-	return y
 }
 
-// Backward accumulates dW = doutᵀ·x, db = Σ dout and returns dx = dout·W.
-func (f *FC) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	f.lastDout = dout
-	dW := tensor.NewMatrix(f.W.Rows, f.W.Cols)
-	tensor.MulTransAInto(dW, dout, f.lastX)
-	f.GW.Add(dW)
+// Backward writes dW = doutᵀ·x (unless FactorOnly) and db = Σ dout in
+// place and, when asked, dx = dout·W.
+func (f *FC) Backward(s *Scratch, x, dout *tensor.Matrix, needDX bool) {
+	f.lastX, f.lastDout = x, dout
+	if !f.FactorOnly {
+		tensor.MulTransAInto(f.GW, dout, x)
+	}
+	f.GB.Zero()
+	gb := f.GB.Data
 	for i := 0; i < dout.Rows; i++ {
 		for j, v := range dout.Row(i) {
-			f.GB.Data[j] += v
+			gb[j] += v
 		}
 	}
-	dx := tensor.NewMatrix(dout.Rows, f.W.Cols)
-	tensor.MulInto(dx, dout, f.W)
-	return dx
+	if needDX {
+		s.DX.Resize(dout.Rows, f.W.Cols)
+		tensor.MulInto(&s.DX, dout, f.W)
+	}
 }
 
 // Params returns [W, B].
@@ -103,29 +136,23 @@ func (f *FC) Params() []*tensor.Matrix { return []*tensor.Matrix{f.W, f.B} }
 // Grads returns [GW, GB].
 func (f *FC) Grads() []*tensor.Matrix { return []*tensor.Matrix{f.GW, f.GB} }
 
-// ZeroGrads clears the accumulated gradients.
-func (f *FC) ZeroGrads() {
-	f.GW.Zero()
-	f.GB.Zero()
-}
-
 // SufficientFactor returns the rank-1 decomposition of the last
 // backward pass's weight gradient: U = dout (K×out), V = x (K×in), so
 // that ∇W = Uᵀ·V. The factors are deep-copied and safe to ship.
 func (f *FC) SufficientFactor() *tensor.SufficientFactor {
-	if f.lastDout == nil || f.lastX == nil {
-		panic("autodiff: SufficientFactor before backward")
-	}
-	return &tensor.SufficientFactor{U: f.lastDout.Clone(), V: f.lastX.Clone()}
+	sf := f.BorrowSufficientFactor()
+	return &tensor.SufficientFactor{U: sf.U.Clone(), V: sf.V.Clone()}
 }
 
 // BorrowSufficientFactor is SufficientFactor without the deep copy: the
-// returned factor references the layer's live backward buffers and a
-// shared wrapper struct, both valid only until the next forward/
-// backward pass (or the next Borrow). The comm runtime uses it on the
-// hot path — it encodes and copies the factor before the compute loop
-// moves on — so shipping a gradient costs no per-iteration clone.
-// Callers that retain the factor must Clone it.
+// returned factor references the backward pass's live buffers — U is the
+// dout buffer this layer's Backward consumed, V the output buffer of the
+// layer below (or the input batch) — through a shared wrapper struct.
+// During a streaming pass it may be taken from the moment the layer's
+// completion callback fires: nothing in the rest of that pass reads U
+// again (so the comm runtime may scale it in place) and nothing writes
+// V. Both die at the network's next pass, or the next Borrow. Callers
+// that retain the factor must Clone it.
 func (f *FC) BorrowSufficientFactor() *tensor.SufficientFactor {
 	if f.lastDout == nil || f.lastX == nil {
 		panic("autodiff: SufficientFactor before backward")
@@ -145,8 +172,6 @@ type Conv2D struct {
 	OutH, OutW           int
 	W, B                 *tensor.Matrix // W: OutC × (InC·K·K), B: 1×OutC
 	GW, GB               *tensor.Matrix
-
-	lastX *tensor.Matrix
 }
 
 // NewConv2D builds a conv layer with He initialization.
@@ -177,20 +202,12 @@ func (c *Conv2D) inIdx(ch, h, w int) int  { return (ch*c.InH+h)*c.InW + w }
 func (c *Conv2D) outIdx(ch, h, w int) int { return (ch*c.OutH+h)*c.OutW + w }
 
 // Forward runs the direct convolution for every sample in the batch.
-func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
-	c.lastX = x
-	y := tensor.NewMatrix(x.Rows, c.OutC*c.OutH*c.OutW)
-	c.forwardInto(y, x)
-	return y
-}
-
-// forwardInto runs the direct convolution into dst (x.Rows ×
-// OutC·OutH·OutW, every cell overwritten) without touching training
-// state — shared by Forward and the gradient-free Predictor path.
-func (c *Conv2D) forwardInto(y, x *tensor.Matrix) {
-	for s := 0; s < x.Rows; s++ {
-		in := x.Row(s)
-		out := y.Row(s)
+func (c *Conv2D) Forward(s *Scratch, x *tensor.Matrix) {
+	y := &s.Out
+	y.Resize(x.Rows, c.OutC*c.OutH*c.OutW)
+	for n := 0; n < x.Rows; n++ {
+		in := x.Row(n)
+		out := y.Row(n)
 		for oc := 0; oc < c.OutC; oc++ {
 			wrow := c.W.Row(oc)
 			bias := c.B.Data[oc]
@@ -219,38 +236,70 @@ func (c *Conv2D) forwardInto(y, x *tensor.Matrix) {
 	}
 }
 
-// Backward accumulates weight/bias gradients and returns dx.
-func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.NewMatrix(dout.Rows, c.InC*c.InH*c.InW)
-	for s := 0; s < dout.Rows; s++ {
-		dOut := dout.Row(s)
-		in := c.lastX.Row(s)
-		dIn := dx.Row(s)
+// window clips a K-wide kernel window whose first tap lands on input
+// coordinate origin to [0, limit): taps [lo, hi) are inside (none when
+// the whole window is padding).
+func (c *Conv2D) window(origin, limit int) (lo, hi int) {
+	lo, hi = 0, c.K
+	if origin < 0 {
+		lo = -origin
+	}
+	if origin+hi > limit {
+		hi = limit - origin
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// Backward writes the weight and bias gradients in place and, when
+// asked, dx. Every gradient cell receives its contributions in the
+// (sample, oc, oh, ow) order of the loop nest, whether or not dx is
+// produced.
+func (c *Conv2D) Backward(s *Scratch, x, dout *tensor.Matrix, needDX bool) {
+	c.GW.Zero()
+	c.GB.Zero()
+	if needDX {
+		s.DX.Resize(dout.Rows, c.InC*c.InH*c.InW)
+		s.DX.Zero()
+	}
+	for n := 0; n < dout.Rows; n++ {
+		dOut := dout.Row(n)
+		in := x.Row(n)
+		var dIn []float32
+		if needDX {
+			dIn = s.DX.Row(n)
+		}
 		for oc := 0; oc < c.OutC; oc++ {
 			wrow := c.W.Row(oc)
 			gwrow := c.GW.Row(oc)
 			for oh := 0; oh < c.OutH; oh++ {
+				ih0 := oh*c.Stride - c.Pad
+				khLo, khHi := c.window(ih0, c.InH)
 				for ow := 0; ow < c.OutW; ow++ {
 					g := dOut[c.outIdx(oc, oh, ow)]
 					if g == 0 {
 						continue
 					}
 					c.GB.Data[oc] += g
+					iw0 := ow*c.Stride - c.Pad
+					kwLo, kwHi := c.window(iw0, c.InW)
 					for ic := 0; ic < c.InC; ic++ {
-						for kh := 0; kh < c.K; kh++ {
-							ih := oh*c.Stride + kh - c.Pad
-							if ih < 0 || ih >= c.InH {
+						for kh := khLo; kh < khHi; kh++ {
+							wOff := (ic*c.K + kh) * c.K
+							iOff := c.inIdx(ic, ih0+kh, iw0)
+							xs := in[iOff+kwLo : iOff+kwHi]
+							gw := gwrow[wOff+kwLo : wOff+kwHi]
+							for j, v := range xs {
+								gw[j] += g * v
+							}
+							if dIn == nil {
 								continue
 							}
-							for kw := 0; kw < c.K; kw++ {
-								iw := ow*c.Stride + kw - c.Pad
-								if iw < 0 || iw >= c.InW {
-									continue
-								}
-								widx := (ic*c.K+kh)*c.K + kw
-								iidx := c.inIdx(ic, ih, iw)
-								gwrow[widx] += g * in[iidx]
-								dIn[iidx] += g * wrow[widx]
+							di := dIn[iOff+kwLo : iOff+kwHi]
+							for j, wv := range wrow[wOff+kwLo : wOff+kwHi] {
+								di[j] += g * wv
 							}
 						}
 					}
@@ -258,7 +307,6 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return dx
 }
 
 // Params returns [W, B].
@@ -267,18 +315,11 @@ func (c *Conv2D) Params() []*tensor.Matrix { return []*tensor.Matrix{c.W, c.B} }
 // Grads returns [GW, GB].
 func (c *Conv2D) Grads() []*tensor.Matrix { return []*tensor.Matrix{c.GW, c.GB} }
 
-// ZeroGrads clears the accumulated gradients.
-func (c *Conv2D) ZeroGrads() {
-	c.GW.Zero()
-	c.GB.Zero()
-}
-
 // ---- ReLU -------------------------------------------------------------------
 
 // ReLU is an elementwise max(0, x).
 type ReLU struct {
 	LayerName string
-	mask      []bool
 }
 
 // NewReLU creates a ReLU layer.
@@ -288,28 +329,33 @@ func NewReLU(name string) *ReLU { return &ReLU{LayerName: name} }
 func (r *ReLU) Name() string { return r.LayerName }
 
 // Forward zeroes negatives.
-func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	y := x.Clone()
-	r.mask = make([]bool, len(y.Data))
-	for i, v := range y.Data {
-		if v <= 0 {
-			y.Data[i] = 0
+func (r *ReLU) Forward(s *Scratch, x *tensor.Matrix) {
+	s.Out.Resize(x.Rows, x.Cols)
+	y := s.Out.Data
+	for i, v := range x.Data {
+		if v > 0 {
+			y[i] = v
 		} else {
-			r.mask[i] = true
+			y[i] = 0
 		}
 	}
-	return y
 }
 
-// Backward gates the upstream gradient by the activation mask.
-func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := dout.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
-			dx.Data[i] = 0
+// Backward gates the upstream gradient by the activation: the output is
+// positive exactly where the input was, so it is its own mask.
+func (r *ReLU) Backward(s *Scratch, _, dout *tensor.Matrix, needDX bool) {
+	if !needDX {
+		return
+	}
+	s.DX.Resize(dout.Rows, dout.Cols)
+	dx := s.DX.Data
+	for i, y := range s.Out.Data {
+		if y > 0 {
+			dx[i] = dout.Data[i]
+		} else {
+			dx[i] = 0
 		}
 	}
-	return dx
 }
 
 // Params returns no parameters.
@@ -318,16 +364,12 @@ func (r *ReLU) Params() []*tensor.Matrix { return nil }
 // Grads returns no gradients.
 func (r *ReLU) Grads() []*tensor.Matrix { return nil }
 
-// ZeroGrads is a no-op.
-func (r *ReLU) ZeroGrads() {}
-
 // ---- Max pooling -------------------------------------------------------------
 
 // MaxPool2 is 2×2 max pooling with stride 2 over C×H×W volumes.
 type MaxPool2 struct {
 	LayerName string
 	C, H, W   int
-	argmax    []int
 }
 
 // NewMaxPool2 creates the pool; H and W must be even.
@@ -341,23 +383,19 @@ func NewMaxPool2(name string, c, h, w int) *MaxPool2 {
 // Name returns the layer name.
 func (p *MaxPool2) Name() string { return p.LayerName }
 
-// Forward keeps each 2×2 window's maximum.
-func (p *MaxPool2) Forward(x *tensor.Matrix) *tensor.Matrix {
+// Forward keeps each 2×2 window's maximum and records where it was.
+func (p *MaxPool2) Forward(s *Scratch, x *tensor.Matrix) {
 	oh, ow := p.H/2, p.W/2
-	y := tensor.NewMatrix(x.Rows, p.C*oh*ow)
-	p.argmax = make([]int, x.Rows*p.C*oh*ow)
-	p.forwardInto(y, x, p.argmax)
-	return y
-}
-
-// forwardInto pools into dst; argmax, when non-nil, records each
-// window's winning index for Backward. The nil-argmax form is the
-// gradient-free Predictor path.
-func (p *MaxPool2) forwardInto(y, x *tensor.Matrix, argmax []int) {
-	oh, ow := p.H/2, p.W/2
-	for s := 0; s < x.Rows; s++ {
-		in := x.Row(s)
-		out := y.Row(s)
+	cells := p.C * oh * ow
+	s.Out.Resize(x.Rows, cells)
+	if cap(s.argmax) < x.Rows*cells {
+		s.argmax = make([]int, x.Rows*cells)
+	}
+	s.argmax = s.argmax[:x.Rows*cells]
+	for n := 0; n < x.Rows; n++ {
+		in := x.Row(n)
+		out := s.Out.Row(n)
+		argmax := s.argmax[n*cells : (n+1)*cells]
 		for c := 0; c < p.C; c++ {
 			for i := 0; i < oh; i++ {
 				for j := 0; j < ow; j++ {
@@ -374,9 +412,7 @@ func (p *MaxPool2) forwardInto(y, x *tensor.Matrix, argmax []int) {
 					}
 					oIdx := (c*oh+i)*ow + j
 					out[oIdx] = best
-					if argmax != nil {
-						argmax[s*p.C*oh*ow+oIdx] = bestIdx
-					}
+					argmax[oIdx] = bestIdx
 				}
 			}
 		}
@@ -384,17 +420,20 @@ func (p *MaxPool2) forwardInto(y, x *tensor.Matrix, argmax []int) {
 }
 
 // Backward routes each gradient to the window's argmax.
-func (p *MaxPool2) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	oh, ow := p.H/2, p.W/2
-	dx := tensor.NewMatrix(dout.Rows, p.C*p.H*p.W)
-	for s := 0; s < dout.Rows; s++ {
-		dOut := dout.Row(s)
-		dIn := dx.Row(s)
-		for k, g := range dOut {
-			dIn[p.argmax[s*p.C*oh*ow+k]] += g
+func (p *MaxPool2) Backward(s *Scratch, _, dout *tensor.Matrix, needDX bool) {
+	if !needDX {
+		return
+	}
+	s.DX.Resize(dout.Rows, p.C*p.H*p.W)
+	s.DX.Zero()
+	cells := dout.Cols
+	for n := 0; n < dout.Rows; n++ {
+		dIn := s.DX.Row(n)
+		argmax := s.argmax[n*cells : (n+1)*cells]
+		for k, g := range dout.Row(n) {
+			dIn[argmax[k]] += g
 		}
 	}
-	return dx
 }
 
 // Params returns no parameters.
@@ -402,6 +441,3 @@ func (p *MaxPool2) Params() []*tensor.Matrix { return nil }
 
 // Grads returns no gradients.
 func (p *MaxPool2) Grads() []*tensor.Matrix { return nil }
-
-// ZeroGrads is a no-op.
-func (p *MaxPool2) ZeroGrads() {}

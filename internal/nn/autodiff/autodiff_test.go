@@ -89,11 +89,11 @@ func TestFCSufficientFactorMatchesGrad(t *testing.T) {
 	fc := NewFC("fc", 7, 4, rng)
 	x := tensor.NewMatrix(5, 7)
 	x.Randn(rng, 1)
-	y := fc.Forward(x)
-	dout := tensor.NewMatrix(y.Rows, y.Cols)
+	var s Scratch
+	fc.Forward(&s, x)
+	dout := tensor.NewMatrix(s.Out.Rows, s.Out.Cols)
 	dout.Randn(rng, 1)
-	fc.ZeroGrads()
-	fc.Backward(dout)
+	fc.Backward(&s, x, dout, true)
 	sf := fc.SufficientFactor()
 	if !sf.Reconstruct().ApproxEqual(fc.GW, 1e-4) {
 		t.Fatal("SF reconstruction != GW")
@@ -103,16 +103,17 @@ func TestFCSufficientFactorMatchesGrad(t *testing.T) {
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU("r")
 	x := tensor.FromSlice(1, 4, []float32{-1, 2, 0, 3})
-	y := r.Forward(x)
+	var s Scratch
+	r.Forward(&s, x)
 	want := []float32{0, 2, 0, 3}
-	for i, v := range y.Data {
+	for i, v := range s.Out.Data {
 		if v != want[i] {
 			t.Fatalf("forward[%d] = %v", i, v)
 		}
 	}
-	dx := r.Backward(tensor.FromSlice(1, 4, []float32{1, 1, 1, 1}))
+	r.Backward(&s, x, tensor.FromSlice(1, 4, []float32{1, 1, 1, 1}), true)
 	wantDx := []float32{0, 1, 0, 1}
-	for i, v := range dx.Data {
+	for i, v := range s.DX.Data {
 		if v != wantDx[i] {
 			t.Fatalf("backward[%d] = %v", i, v)
 		}
@@ -122,13 +123,14 @@ func TestReLUForwardBackward(t *testing.T) {
 func TestMaxPoolForwardBackward(t *testing.T) {
 	p := NewMaxPool2("p", 1, 2, 2)
 	x := tensor.FromSlice(1, 4, []float32{1, 5, 3, 2})
-	y := p.Forward(x)
-	if y.Cols != 1 || y.Data[0] != 5 {
-		t.Fatalf("pool forward = %v", y.Data)
+	var s Scratch
+	p.Forward(&s, x)
+	if s.Out.Cols != 1 || s.Out.Data[0] != 5 {
+		t.Fatalf("pool forward = %v", s.Out.Data)
 	}
-	dx := p.Backward(tensor.FromSlice(1, 1, []float32{7}))
+	p.Backward(&s, x, tensor.FromSlice(1, 1, []float32{7}), true)
 	want := []float32{0, 7, 0, 0}
-	for i, v := range dx.Data {
+	for i, v := range s.DX.Data {
 		if v != want[i] {
 			t.Fatalf("pool backward[%d] = %v", i, v)
 		}

@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/tensor"
 )
@@ -12,14 +13,53 @@ import (
 type Network struct {
 	Layers  []Layer
 	Classes int
+
+	// ws is the network's one workspace: Forward, Eval and LossAndGrad
+	// all run through it, so a Network serves one goroutine at a time.
+	// Concurrent inference goes through Predictors, which bring their own.
+	ws *workspace
 }
 
-// Forward runs the stack and returns the logits.
-func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
+// workspace is the per-pass state of a layer stack: one Scratch per
+// layer, plus the softmax head's probabilities, which the backward pass
+// turns into dL/dlogits in place.
+type workspace struct {
+	bufs  []Scratch
+	probs tensor.Matrix
+	// trainable[i] reports whether layer i has parameters, looked up once
+	// because Params() allocates its result.
+	trainable []bool
+}
+
+func newWorkspace(layers []Layer) *workspace {
+	ws := &workspace{bufs: make([]Scratch, len(layers)), trainable: make([]bool, len(layers))}
+	for i, l := range layers {
+		ws.trainable[i] = len(l.Params()) > 0
+	}
+	return ws
+}
+
+// forward runs the stack through the workspace and returns the last
+// layer's output buffer.
+func (ws *workspace) forward(layers []Layer, x *tensor.Matrix) *tensor.Matrix {
+	for i, l := range layers {
+		l.Forward(&ws.bufs[i], x)
+		x = &ws.bufs[i].Out
 	}
 	return x
+}
+
+func (n *Network) workspace() *workspace {
+	if n.ws == nil || len(n.ws.bufs) != len(n.Layers) {
+		n.ws = newWorkspace(n.Layers)
+	}
+	return n.ws
+}
+
+// Forward runs the stack and returns the logits: the workspace's own
+// buffer, valid until the network's next pass.
+func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
+	return n.workspace().forward(n.Layers, x)
 }
 
 // InputDims returns the flattened feature count the network's first
@@ -40,14 +80,27 @@ func (n *Network) InputDims() int {
 }
 
 // LossAndGrad runs forward + softmax cross-entropy + full backward for a
-// batch with integer labels, accumulating parameter gradients (mean over
-// the batch). It returns the mean loss and the error count.
+// batch with integer labels, overwriting every parameter gradient (mean
+// over the batch). It returns the mean loss and the error count.
 func (n *Network) LossAndGrad(x *tensor.Matrix, labels []int) (loss float64, errs int) {
-	logits := n.Forward(x)
-	probs, loss, errs := SoftmaxCrossEntropy(logits, labels)
+	return n.LossAndGradStream(x, labels, nil)
+}
+
+// LossAndGradStream is LossAndGrad reporting progress: the backward pass
+// walks the stack top-down and calls done(i) the moment layer i's
+// Grads() are final, once per layer that has parameters — the hook that
+// lets a layer's synchronization start while the layers below it are
+// still computing (the paper's Algorithm 2). done runs on the caller's
+// goroutine, between two layers' backward steps; see
+// FC.BorrowSufficientFactor for what it may touch. The first layer's
+// input gradient is never computed: nothing consumes it.
+func (n *Network) LossAndGradStream(x *tensor.Matrix, labels []int, done func(layer int)) (loss float64, errs int) {
+	ws := n.workspace()
+	logits := ws.forward(n.Layers, x)
+	loss, errs = softmaxCrossEntropyInto(&ws.probs, logits, labels)
 	// dL/dlogits = (probs - onehot)/K.
 	k := float32(x.Rows)
-	dout := probs
+	dout := &ws.probs
 	for i := 0; i < dout.Rows; i++ {
 		row := dout.Row(i)
 		row[labels[i]] -= 1
@@ -56,7 +109,15 @@ func (n *Network) LossAndGrad(x *tensor.Matrix, labels []int) (loss float64, err
 		}
 	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
+		in := x
+		if i > 0 {
+			in = &ws.bufs[i-1].Out
+		}
+		n.Layers[i].Backward(&ws.bufs[i], in, dout, i > 0)
+		if done != nil && ws.trainable[i] {
+			done(i)
+		}
+		dout = &ws.bufs[i].DX
 	}
 	return loss, errs
 }
@@ -64,15 +125,16 @@ func (n *Network) LossAndGrad(x *tensor.Matrix, labels []int) (loss float64, err
 // Eval returns the mean loss and error rate on a batch without touching
 // gradients.
 func (n *Network) Eval(x *tensor.Matrix, labels []int) (loss float64, errRate float64) {
-	logits := n.Forward(x)
-	_, l, e := SoftmaxCrossEntropy(logits, labels)
+	ws := n.workspace()
+	l, e := softmaxCrossEntropyInto(&ws.probs, ws.forward(n.Layers, x), labels)
 	return l, float64(e) / float64(x.Rows)
 }
 
-// ZeroGrads clears every layer's gradients.
+// ZeroGrads clears every gradient. A pass overwrites them anyway; this
+// is for callers that read gradients before the first pass.
 func (n *Network) ZeroGrads() {
-	for _, l := range n.Layers {
-		l.ZeroGrads()
+	for _, g := range n.Grads() {
+		g.Zero()
 	}
 }
 
@@ -114,29 +176,19 @@ func (n *Network) NumParams() int {
 // SoftmaxCrossEntropy computes row-wise softmax probabilities, the mean
 // cross-entropy loss, and the argmax error count.
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (probs *tensor.Matrix, loss float64, errs int) {
-	probs = tensor.NewMatrix(logits.Rows, logits.Cols)
+	probs = new(tensor.Matrix)
+	loss, errs = softmaxCrossEntropyInto(probs, logits, labels)
+	return probs, loss, errs
+}
+
+// softmaxCrossEntropyInto is SoftmaxCrossEntropy into a caller-owned
+// probability matrix, resized to match.
+func softmaxCrossEntropyInto(probs, logits *tensor.Matrix, labels []int) (loss float64, errs int) {
+	probs.Resize(logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		max := row[0]
-		arg := 0
-		for j, v := range row {
-			if v > max {
-				max = v
-				arg = j
-			}
-		}
-		if arg != labels[i] {
-			errs++
-		}
-		var sum float64
 		out := probs.Row(i)
-		for j, v := range row {
-			e := math.Exp(float64(v - max))
-			out[j] = float32(e)
-			sum += e
-		}
-		for j := range out {
-			out[j] = float32(float64(out[j]) / sum)
+		if softmaxRow(out, logits.Row(i)) != labels[i] {
+			errs++
 		}
 		p := float64(out[labels[i]])
 		if p < 1e-12 {
@@ -145,7 +197,40 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (probs *tensor.Mat
 		loss -= math.Log(p)
 	}
 	loss /= float64(logits.Rows)
-	return probs, loss, errs
+	return loss, errs
+}
+
+// SoftmaxInto writes the row-wise softmax of logits into dst, resized
+// to match — the arithmetic of SoftmaxCrossEntropy, so served
+// probabilities are bit-identical to what training-side evaluation
+// computes from the same logits.
+func SoftmaxInto(dst, logits *tensor.Matrix) {
+	dst.Resize(logits.Rows, logits.Cols)
+	for i := 0; i < logits.Rows; i++ {
+		softmaxRow(dst.Row(i), logits.Row(i))
+	}
+}
+
+// softmaxRow writes softmax(row) into out (float64 exp and division,
+// truncated to float32 per term) and returns row's argmax.
+func softmaxRow(out, row []float32) (arg int) {
+	max := row[0]
+	for j, v := range row {
+		if v > max {
+			max = v
+			arg = j
+		}
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(float64(v - max))
+		out[j] = float32(e)
+		sum += e
+	}
+	for j := range out {
+		out[j] = float32(float64(out[j]) / sum)
+	}
+	return arg
 }
 
 // CIFARQuickNet builds a scaled replica of Caffe's CIFAR-10-quick CNN:
@@ -184,11 +269,9 @@ func MLPNet(in int, hidden []int, classes int, rng *rand.Rand) *Network {
 	var layers []Layer
 	prev := in
 	for i, hdim := range hidden {
-		layers = append(layers, NewFC(fcName(i), prev, hdim, rng), NewReLU("relu"))
+		layers = append(layers, NewFC("fc"+strconv.Itoa(i), prev, hdim, rng), NewReLU("relu"+strconv.Itoa(i)))
 		prev = hdim
 	}
 	layers = append(layers, NewFC("out", prev, classes, rng))
 	return &Network{Layers: layers, Classes: classes}
 }
-
-func fcName(i int) string { return "fc" + string(rune('0'+i)) }

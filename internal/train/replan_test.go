@@ -15,6 +15,12 @@ import (
 // trajectory stays within 1e-6 of the identical run with replanning
 // disabled (route changes re-associate float32 sums, nothing more) and
 // the replicas keep agreeing (train.Run's internal BSP checks).
+//
+// The flip is also the dense-gradient mask's hard case: while the weight
+// rode SFB its backward step skipped the dense GEMM, so GW is stale when
+// the route changes under it. The first post-flip iteration must push a
+// gradient computed in that iteration — a stale one moves the weight
+// the wrong way and shows in the very next loss.
 func TestReplanCorrectsWrongBandwidth(t *testing.T) {
 	base := Config{
 		Workers: 4, Iters: 16, Batch: 2, LR: 0.05, Mode: Hybrid, Seed: 13,
@@ -61,6 +67,9 @@ func TestReplanCorrectsWrongBandwidth(t *testing.T) {
 		if e.Iter != 8 {
 			t.Fatalf("flip at iteration %d, want the epoch barrier 8: %+v", e.Iter, e)
 		}
+		if e.Name != "fc0.W" && e.Name != "out.W" {
+			t.Fatalf("flipped tensor %q is not an FC weight: %+v", e.Name, e)
+		}
 	}
 	if snap.BWEstimateBPS <= base.Bandwidth {
 		t.Fatalf("bw_estimate_bps %g did not rise above the wrong initial %g", snap.BWEstimateBPS, base.Bandwidth)
@@ -74,8 +83,12 @@ func TestReplanCorrectsWrongBandwidth(t *testing.T) {
 	for i := range staticRes.Curve {
 		d := math.Abs(replannedRes.Curve[i].TrainLoss - staticRes.Curve[i].TrainLoss)
 		if d > 1e-6 {
-			t.Fatalf("iter %d: replanned loss %.12g vs static %.12g (|d|=%g > 1e-6)",
-				i, replannedRes.Curve[i].TrainLoss, staticRes.Curve[i].TrainLoss, d)
+			hint := ""
+			if i == 9 {
+				hint = ": iteration 8, the first on the dense route, pushed a stale gradient"
+			}
+			t.Fatalf("iter %d: replanned loss %.12g vs static %.12g (|d|=%g > 1e-6)%s",
+				i, replannedRes.Curve[i].TrainLoss, staticRes.Curve[i].TrainLoss, d, hint)
 		}
 	}
 	if d := maxParamDiff(replannedRes.Final, staticRes.Final); d > 1e-5 {

@@ -73,10 +73,11 @@ type Config struct {
 	// Poseidon's design extends to). 0 is BSP.
 	Staleness int
 
-	// Overlap streams pushes through the comm runtime's bounded send
-	// pool, so a layer's chunks are on the wire while later layers are
-	// still being launched (wait-free backpropagation). Off, every send
-	// completes before the next launch — the serialized baseline.
+	// Overlap sends go through the comm runtime's bounded send pool: a
+	// launch returns once its frames are queued, so they are encoded and
+	// on the wire while the backward pass computes the layers below. Off,
+	// every send completes inside its launch — the serialized baseline.
+	// Either way a layer is launched the moment its backward step ends.
 	Overlap bool
 	// ChunkElems caps the float32 count per KV chunk on the PS route
 	// (0 = whole tensors). Chunking spreads one large layer across all
@@ -350,7 +351,10 @@ type worker struct {
 	winBytes int64
 	obs      poseidon.BandwidthObservation
 
-	net    *autodiff.Network
+	net *autodiff.Network
+	// fcs maps parameter index → layer for the FC weights, the tensors
+	// with a sufficient-factor form.
+	fcs    map[int]*autodiff.FC
 	router *comm.Router
 	local  *data.Dataset
 }
@@ -438,7 +442,8 @@ func (w *worker) run() (*Result, error) {
 		}
 	}
 	planner := plannerFor(cfg, w.n)
-	plans, sfFor, err := plansFor(planner, w.net)
+	w.fcs = fcWeights(w.net)
+	plans, err := plansFor(planner, w.net, w.fcs)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +462,12 @@ func (w *worker) run() (*Result, error) {
 		Metrics:     mtr,
 		// A transition can move a parameter onto SFB after construction;
 		// the router re-attaches the extractor through this source.
-		SFSource:    func(index int) func() *tensor.SufficientFactor { return sfFor[index] },
+		SFSource: func(index int) func() *tensor.SufficientFactor {
+			if fc := w.fcs[index]; fc != nil {
+				return fc.BorrowSufficientFactor
+			}
+			return nil
+		},
 		ViewTimeout: cfg.ViewTimeout,
 		// The transition leader re-runs Algorithm 1 and broadcasts the
 		// routes with the view, so replicas stay byte-identical through
@@ -487,6 +497,7 @@ func (w *worker) run() (*Result, error) {
 		return nil, err
 	}
 	w.router = router
+	w.maskDenseGrads(router.Routes())
 	router.Start()
 	defer router.Stop()
 
@@ -514,7 +525,25 @@ func (w *worker) run() (*Result, error) {
 	// Every member reads it off the committed view, so they agree on
 	// which barriers an unscheduled transition already stood in for.
 	resumed := cfg.StartIter
-	for iter := cfg.StartIter; ; {
+	iter := cfg.StartIter
+
+	// The paper's Algorithm 2: the backward pass reports each layer as its
+	// gradients become final, top-down, and the layer's sync() calls go
+	// out right then — W, then b — while the layers below still compute.
+	// firstParam[l] is layer l's first index in Params() order.
+	firstParam := make([]int, len(w.net.Layers)+1)
+	for l, layer := range w.net.Layers {
+		firstParam[l+1] = firstParam[l] + len(layer.Params())
+	}
+	var launchErr error
+	launch := func(layer int) {
+		for idx := firstParam[layer]; idx < firstParam[layer+1] && launchErr == nil; idx++ {
+			launchErr = router.Launch(iter, idx, grads[idx])
+		}
+	}
+	batchX, batchLabels := new(tensor.Matrix), make([]int, cfg.Batch)
+
+	for {
 		if cfg.Replan.Every > 0 && iter > resumed && iter < cfg.Iters && iter%cfg.Replan.Every == 0 {
 			if elapsed := time.Since(w.winStart).Seconds(); elapsed > 0 {
 				w.obs.BytesPerSec = float64(router.EgressBytes()-w.winBytes) / elapsed
@@ -564,12 +593,12 @@ func (w *worker) run() (*Result, error) {
 			w.snapshotBarrier(iter, params)
 		}
 
-		x, labels := w.local.Batch(iter*cfg.Batch, cfg.Batch)
-		w.net.ZeroGrads()
-		loss, _ := w.net.LossAndGrad(x, labels)
-
-		// Launch every syncer (the paper's Algorithm 2 sync() calls).
-		if err := router.LaunchAll(iter, grads); err != nil {
+		w.local.BatchInto(batchX, batchLabels, iter*cfg.Batch, cfg.Batch)
+		loss, _ := w.net.LossAndGradStream(batchX, batchLabels, launch)
+		if launchErr != nil {
+			return nil, launchErr
+		}
+		if err := router.Err(); err != nil {
 			return nil, err
 		}
 
@@ -610,7 +639,8 @@ func (w *worker) openWindow() {
 // index, member count and data shard when the member set moved, and
 // always the planner — it adopts the committed shape and route vector
 // (already live inside the router), so any member can lead the next
-// transition from the true incumbents — and the bandwidth window.
+// transition from the true incumbents — the dense-gradient mask, which
+// follows the same route vector, and the bandwidth window.
 func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params []*tensor.Matrix) error {
 	w.id = vc.View.Index(w.rank)
 	w.n = vc.View.Size()
@@ -619,9 +649,11 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 		return fmt.Errorf("train: rank %d missing from committed view %v", w.rank, vc.View.Members)
 	}
 	shape := poseidon.ClusterShape{Workers: w.n, Servers: w.n, Batch: w.cfg.Batch}
-	if err := planner.Adopt(shape, w.router.Routes()); err != nil {
+	routes := w.router.Routes()
+	if err := planner.Adopt(shape, routes); err != nil {
 		return err
 	}
+	w.maskDenseGrads(routes)
 	w.openWindow()
 	if !vc.Moved {
 		return nil
@@ -639,6 +671,18 @@ func (w *worker) applyView(vc comm.ViewChange, planner *poseidon.Planner, params
 		w.cfg.OnViewChange(ev)
 	}
 	return nil
+}
+
+// maskDenseGrads tells every FC layer whether its backward step must
+// materialise the dense weight gradient: not while the weight's live
+// route is SFB, which ships the sufficient factor and never reads it.
+// Called with the router's route vector at build time and after every
+// committed transition, so a weight that flips back to a dense route
+// pushes a fresh gradient on its first iteration there.
+func (w *worker) maskDenseGrads(routes []comm.Route) {
+	for idx, fc := range w.fcs {
+		fc.FactorOnly = routes[idx] == comm.RouteSFB
+	}
 }
 
 // policyFor maps a SyncMode to its planner policy — the modes differ
@@ -691,9 +735,9 @@ func PlannerFor(cfg Config) *poseidon.Planner { return plannerFor(cfg, cfg.Worke
 // rather than by shape guessing.
 func ParamSpecs(net *autodiff.Network) []poseidon.TensorSpec {
 	var specs []poseidon.TensorSpec
+	fcs := fcWeights(net)
 	idx := 0
 	for _, layer := range net.Layers {
-		fc, isFC := layer.(*autodiff.FC)
 		for pi, p := range layer.Params() {
 			suffix := fmt.Sprintf(".p%d", pi)
 			switch pi {
@@ -707,7 +751,7 @@ func ParamSpecs(net *autodiff.Network) []poseidon.TensorSpec {
 				Name:      layer.Name() + suffix,
 				Rows:      p.Rows,
 				Cols:      p.Cols,
-				SFCapable: isFC && pi == 0 && fc.W == p,
+				SFCapable: fcs[idx] != nil,
 			})
 			idx++
 		}
@@ -736,25 +780,20 @@ func Decisions(cfg Config) ([]poseidon.Decision, error) {
 // the SFB route needs (closures over live FC layer state the planner
 // never sees).
 func buildPlans(cfg Config, net *autodiff.Network, workers int) ([]comm.ParamPlan, error) {
-	plans, _, err := plansFor(plannerFor(cfg, workers), net)
-	return plans, err
+	return plansFor(plannerFor(cfg, workers), net, fcWeights(net))
 }
 
-// sfExtractors locates every tensor with a sufficient-factor
-// decomposition (FC weight matrices) and returns parameter index →
-// borrow extractor. Borrowed factors reference the layer's live
-// backward buffers — the syncer encodes and copies them before the
-// compute loop can overwrite, so the SFB route ships gradients without
-// a per-iteration clone.
-func sfExtractors(net *autodiff.Network) map[int]func() *tensor.SufficientFactor {
-	out := make(map[int]func() *tensor.SufficientFactor)
+// fcWeights locates every tensor with a sufficient-factor decomposition
+// (FC weight matrices), through the layer structure rather than by shape
+// guessing: parameter index in Params() order → owning layer.
+func fcWeights(net *autodiff.Network) map[int]*autodiff.FC {
+	out := make(map[int]*autodiff.FC)
 	idx := 0
 	for _, layer := range net.Layers {
 		fc, isFC := layer.(*autodiff.FC)
 		for pi, p := range layer.Params() {
 			if isFC && pi == 0 && fc.W == p {
-				fc := fc
-				out[idx] = func() *tensor.SufficientFactor { return fc.BorrowSufficientFactor() }
+				out[idx] = fc
 			}
 			idx++
 		}
@@ -763,23 +802,23 @@ func sfExtractors(net *autodiff.Network) map[int]func() *tensor.SufficientFactor
 }
 
 // plansFor plans net's parameters on the given (retained) planner and
-// attaches SF extractors; it also returns the extractor map so the
-// router can re-attach extractors when an epoch transition moves a
-// parameter onto SFB later.
-func plansFor(planner *poseidon.Planner, net *autodiff.Network) ([]comm.ParamPlan, map[int]func() *tensor.SufficientFactor, error) {
+// attaches the SFB routes' extractors. Borrowed factors reference the
+// backward pass's live buffers — the syncer encodes and copies them
+// inside Launch, before the pass moves on to the layer below — so the
+// SFB route ships gradients without a per-iteration clone.
+func plansFor(planner *poseidon.Planner, net *autodiff.Network, fcs map[int]*autodiff.FC) ([]comm.ParamPlan, error) {
 	plans, err := planner.ParamPlans(ParamSpecs(net))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sfFor := sfExtractors(net)
 	for i := range plans {
 		if plans[i].Route == comm.RouteSFB {
-			ext := sfFor[i]
-			if ext == nil {
-				return nil, nil, fmt.Errorf("train: param %d (%s) routed to SFB but has no sufficient factor", i, plans[i].Name)
+			fc := fcs[i]
+			if fc == nil {
+				return nil, fmt.Errorf("train: param %d (%s) routed to SFB but has no sufficient factor", i, plans[i].Name)
 			}
-			plans[i].SF = ext
+			plans[i].SF = fc.BorrowSufficientFactor
 		}
 	}
-	return plans, sfFor, nil
+	return plans, nil
 }

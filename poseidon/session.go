@@ -3,6 +3,7 @@ package poseidon
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,8 +132,10 @@ func (b *Builder) Mode(m SyncMode) *Builder { b.cfg.Mode = m; return b }
 // (stale synchronous parallel; 0 = BSP).
 func (b *Builder) Staleness(s int) *Builder { b.cfg.Staleness = s; return b }
 
-// Overlap streams pushes through the comm runtime's send pool —
-// wait-free backpropagation with real bytes.
+// Overlap sends go through the comm runtime's send pool: a layer's
+// launch returns once its frames are queued, so they travel while the
+// backward pass computes the layers below. Off, each launch's sends
+// complete before the pass moves on.
 func (b *Builder) Overlap(on bool) *Builder { b.cfg.Overlap = on; return b }
 
 // ChunkElems caps the float32 count per KV chunk on the PS route
@@ -477,9 +480,7 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (s *Session) runOne(cfg train.Config) (*Result, error) {
-	if s.store != nil {
-		defer s.store.Close()
-	}
+	defer s.endRun()
 	if s.mesh == nil {
 		results, err := train.RunOverAll(cfg, s.inProcessMeshes())
 		if err != nil {
@@ -516,10 +517,24 @@ func (s *Session) RunAll() ([]*Result, error) {
 	if s.mesh != nil {
 		return nil, fmt.Errorf("poseidon: RunAll needs an in-process session")
 	}
-	if s.store != nil {
-		defer s.store.Close()
-	}
+	defer s.endRun()
 	return train.RunOverAll(s.cfg, s.inProcessMeshes())
+}
+
+// endRun stops the snapshot store publishing and collects what the run
+// left behind. The whole synchronization side of a run — update ring,
+// staged replica, send pool — is garbage the moment the loop returns,
+// and a steady-state step allocates too little to bring the pacer round
+// to it, so it is collected here rather than whenever the caller's next
+// phase happens to allocate enough. The collection also flushes the
+// allocator's per-P caches: counters read right after a run
+// (runtime/metrics counts small objects a span at a time) then cover
+// everything the run allocated.
+func (s *Session) endRun() {
+	if s.store != nil {
+		s.store.Close()
+	}
+	runtime.GC()
 }
 
 // Latest returns the most recent snapshot the run has captured, or nil
